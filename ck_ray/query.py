@@ -29,8 +29,11 @@ bit-for-bit (tested).
 
 from __future__ import annotations
 
+import copy
+import ctypes
 import hashlib
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,44 @@ from .strdist import edit_within
 from .tokenizer import tokenize_text
 
 FIELD_IDS = {"content": 0, "path": 1}
+
+try:  # glibc's, from the symbols already loaded into the process
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+except AttributeError:  # not glibc
+    _malloc_trim = None
+
+
+def _release_heap() -> None:
+    """Return the freed pages of a dropped index generation to the OS.
+    Arrow's allocator and glibc's malloc both keep freed memory for
+    reuse, so without this a long-lived shard's RSS keeps the high-water
+    mark of every reload's old-beside-new peak."""
+    pa.default_memory_pool().release_unused()
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
+def _parquet_files(d: str) -> list[str]:
+    return [
+        os.path.join(d, f) for f in sorted(os.listdir(d))
+        if f.endswith(".parquet") and not f.startswith((".", "_"))
+    ]
+
+
+def _read_parquet(path: str, columns: list[str] | None = None) -> pa.Table:
+    """One parquet file, read on the calling thread; ``columns`` the file
+    lacks are left out. A serving shard reloads for as long as it lives,
+    and reads on Arrow's thread pools leave memory in Arrow's jemalloc
+    arenas that ``release_unused`` does not return: over 10 reloads of a
+    2,006-doc shard (8 of 16 buckets) RSS grew 1-5 MB per reload with
+    threaded reads, and stays flat with these."""
+    with pq.ParquetFile(path) as pf:
+        if columns is not None:
+            have = set(pf.schema_arrow.names)
+            columns = [c for c in columns if c in have]
+        return pf.read(columns=columns, use_threads=False)
 
 
 def _unique_inverse(docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -920,33 +961,68 @@ class LocalIndex:
     shards' local live counts).
 
     ``buckets=None`` loads ALL buckets — a complete single-process engine
-    (used by tests and the CLI's embedded mode).
+    (used by tests and the CLI's embedded mode). ``shard=(i, n)`` instead
+    takes the buckets ``b % n == i`` of the bucket count of the manifest
+    being loaded, so construction, ``reload`` and a restart all pick the
+    same buckets even after a compaction changed that count.
     """
 
     def __init__(self, index_dir: str, buckets: list[int] | None = None,
-                 dtype=np.float32, synonyms: dict | None = None):
+                 dtype=np.float32, synonyms: dict | None = None,
+                 shard: tuple[int, int] | None = None):
         self.index_dir = index_dir
         self._synonyms = synonyms or {}
-        self.manifest = load_manifest(index_dir)
-        if "num_serving_buckets" not in self.manifest:
+        self.dtype = dtype
+        self._fixed_buckets = buckets
+        self._shard = shard
+        self.reload()
+
+    # ------------------------------------------------------------- loading
+
+    def reload(self, manifest: dict | None = None) -> None:
+        """Load the epoch set of ``manifest`` (default: the committed
+        root manifest) in place, the reader-reopen of Lucene's
+        ``DirectoryReader.openIfChanged``. The new state is built beside
+        the old one and swapped in only once fully loaded: a failed load
+        (e.g. an epoch a concurrent compaction removed) raises and leaves
+        the shard serving its old state. A caller fanning one reload over
+        many shards passes the manifest it read, so all of them serve the
+        same epoch set and statistics."""
+        man = load_manifest(self.index_dir) if manifest is None else manifest
+        if "num_serving_buckets" not in man:
             raise RuntimeError(
                 "index predates the serving layout — rebuild it"
             )
-        self.dtype = dtype
-        self.n_buckets = self.manifest["num_serving_buckets"]
-        self.buckets = sorted(
-            range(self.n_buckets) if buckets is None else buckets
-        )
-        self.epochs = self.manifest.get(
-            "epochs", [self.manifest["epoch_dir"]]
-        )
-        self._load_tables()
-        self._dead = self._load_dead_sets()
-        self._load_meta()
+        # caches first: they are derived state, and dropping them before
+        # the load lowers the old-beside-new peak and lets the new state
+        # reuse their memory (a failed load serves on with cold caches)
         self._cache: dict[tuple[int, str], _PostingView | None] = {}
         self._field_dict_cache: dict[int, np.ndarray] = {}
-
-    # ------------------------------------------------------------- loading
+        new = copy.copy(self)
+        new.manifest = man
+        new.n_buckets = man["num_serving_buckets"]
+        if self._shard is not None:
+            i, n = self._shard
+            new.buckets = list(range(i, new.n_buckets, n))
+        else:
+            new.buckets = sorted(
+                range(new.n_buckets) if self._fixed_buckets is None
+                else self._fixed_buckets
+            )
+        new.epochs = man.get("epochs", [man["epoch_dir"]])
+        new._load_tables()
+        new._dead = new._load_dead_sets()
+        new._load_meta()
+        # an epoch dir missing now was missing or removed during the load
+        # (its bucket dirs were then skipped as empty): refuse the state
+        for e in new.epochs:
+            if not os.path.isdir(os.path.join(self.index_dir, e)):
+                raise FileNotFoundError(
+                    f"epoch {e!r} of {self.index_dir!r} is gone"
+                )
+        vars(self).update(vars(new))
+        del new
+        _release_heap()
 
     def _load_tables(self) -> None:
         """Read the buckets' serving posting tables; build a SORTED key
@@ -961,10 +1037,8 @@ class LocalIndex:
                 bdir = os.path.join(post_root, f"bucket={b}")
                 if not os.path.isdir(bdir):
                     continue
-                for f in sorted(os.listdir(bdir)):
-                    if not f.endswith(".parquet"):
-                        continue
-                    t = pq.read_table(os.path.join(bdir, f))
+                for path in _parquet_files(bdir):
+                    t = _read_parquet(path)
                     if t.num_rows == 0:
                         continue
                     ti = len(self._tables)
@@ -998,10 +1072,11 @@ class LocalIndex:
         for b in self.buckets:
             bdir = os.path.join(droot, f"bucket={b}")
             if os.path.isdir(bdir):
-                arrs.append(
-                    pads.dataset(bdir).to_table(columns=["doc_id"])["doc_id"]
+                arrs.extend(
+                    _read_parquet(path, ["doc_id"])["doc_id"]
                     .to_numpy()
                     .astype(np.uint64)
+                    for path in _parquet_files(bdir)
                 )
         return np.concatenate(arrs) if arrs else np.empty(0, np.uint64)
 
@@ -1018,7 +1093,11 @@ class LocalIndex:
         for e in self.epochs:
             dfile = os.path.join(self.index_dir, e, "deleted.parquet")
             if os.path.exists(dfile):
-                d = pq.read_table(dfile)["doc_id"].to_numpy().astype(np.uint64)
+                d = (
+                    _read_parquet(dfile, ["doc_id"])["doc_id"]
+                    .to_numpy()
+                    .astype(np.uint64)
+                )
                 if len(self.buckets) != self.n_buckets:
                     d = d[np.isin(doc_bucket_of(d, self.n_buckets), my_buckets)]
                 dels.append(d)
@@ -1054,13 +1133,10 @@ class LocalIndex:
             epoch_tabs = []
             for b in self.buckets:
                 bdir = os.path.join(droot, f"bucket={b}")
-                if os.path.isdir(bdir):
-                    dset = pads.dataset(bdir)
-                    have = set(dset.schema.names)
-                    t = dset.to_table(
-                        columns=["doc_id",
-                                 *[c for c in all_cols if c in have]]
-                    )
+                if not os.path.isdir(bdir):
+                    continue
+                for path in _parquet_files(bdir):
+                    t = _read_parquet(path, ["doc_id", *all_cols])
                     for c in self._META_COLS:
                         if c not in t.column_names:
                             t = t.append_column(
@@ -3237,12 +3313,15 @@ class LocalIndex:
 # running while an engine stays open (e.g. the MCP server's hybrid tool
 # on a small cluster — deadlock without this).
 #
-# Restart policy: a LocalIndex is READ-ONLY after __init__ — every byte
-# of its state is re-derived from index_dir — so when a node dies on a
-# real cluster Ray can transparently respawn the shard elsewhere and
-# re-run the idempotent query method (max_restarts/max_task_retries=-1).
-# Without this, one lost worker bricks an open engine until manual
-# reload. Verified by tests/test_query_ft.py (ray.kill mid-session).
+# Restart policy: a LocalIndex's state is a pure function of index_dir
+# and the epoch list it loaded — queries never mutate it, and ``reload``
+# only swaps in the state of another committed epoch list — so when a
+# node dies on a real cluster Ray can transparently respawn the shard
+# elsewhere (the constructor loads the committed manifest, with the
+# buckets of its ``shard=(i, n)`` slot) and re-run the idempotent method
+# (max_restarts/max_task_retries=-1). Without this, one lost worker
+# bricks an open engine. Verified by tests/test_query_ft.py (ray.kill
+# mid-session, also after an in-place reload).
 DocShard = ray.remote(
     num_cpus=0.5, max_restarts=-1, max_task_retries=-1
 )(LocalIndex)
@@ -3344,12 +3423,16 @@ class BM25Engine:
         self._requested_replicas = max(1, int(num_replicas))
         self._rr = 0
         # auto_reload: every search stats the root manifest (one syscall,
-        # ~1us vs ~10ms queries) and transparently respawns the shards
-        # when an incremental_update / reindex committed new epochs — an
-        # open engine never serves a stale epoch set silently.
+        # ~1us vs ~10ms queries) and reloads the live shards in place
+        # when an incremental_update / compaction / reindex committed a
+        # new epoch set — an open engine never serves a stale epoch set
+        # silently.
         self.auto_reload = auto_reload
         self.shards: list = []
         self.replicas: list[list] = []
+        # in-place reloads since open, and the wall time of the latest
+        self.reloads = 0
+        self.last_reload_s: float | None = None
         # driver-side parse cache: query string -> synonym-rewritten
         # tree (parse is pure string work, so index reloads don't
         # invalidate it; bounded by _PARSE_CACHE_MAX)
@@ -3361,39 +3444,33 @@ class BM25Engine:
         return (st.st_mtime_ns, st.st_size)
 
     def _load(self) -> None:
-        self.manifest = load_manifest(self.index_dir)
-        self._stamp = self._manifest_stamp()
-        if "num_serving_buckets" not in self.manifest:
-            raise RuntimeError(
-                "index predates the serving layout — rebuild it"
-            )
-        B = self.manifest["num_serving_buckets"]
-        num_shards = max(1, min(self._requested_shards, B))
-        assign = [
-            [b for b in range(B) if b % num_shards == s]
-            for s in range(num_shards)
-        ]
-        old = self.replicas if self.replicas else (
-            [self.shards] if self.shards else []
-        )
-        self.replicas = [
-            [
-                DocShard.remote(
-                    self.index_dir, a, dtype=self.dtype,
-                    synonyms=self._synonyms,
+        """Bring every shard of every replica to the committed manifest.
+        The first call spawns the actors; every later one reloads them in
+        place with the one manifest read here, so all shards serve the
+        same epoch set. On failure the old ``manifest`` and ``_stamp``
+        stay, so the next search retries."""
+        t0, first = time.perf_counter(), not self.replicas
+        while True:
+            # stamp first: a commit racing the read only costs a reload
+            stamp = self._manifest_stamp()
+            manifest = load_manifest(self.index_dir)
+            if "num_serving_buckets" not in manifest:
+                raise RuntimeError(
+                    "index predates the serving layout — rebuild it"
                 )
-                for a in assign
-            ]
-            for _ in range(self._requested_replicas)
-        ]
-        self.shards = self.replicas[0]
-        ray.get([s.ready.remote() for rep in self.replicas for s in rep])
-        for rep in old:  # swap completed — drop the previous generation
-            for s in rep:
-                ray.kill(s)
-        self.epochs = self.manifest.get(
-            "epochs", [self.manifest["epoch_dir"]]
-        )
+            try:
+                self._load_shards(manifest)
+                break
+            except FileNotFoundError:
+                # a newer commit (a compaction) removed epochs of the
+                # manifest read above: reload onto the newer one
+                if self._manifest_stamp() == stamp:
+                    raise
+        if not first:
+            self.reloads += 1
+            self.last_reload_s = time.perf_counter() - t0
+        self.manifest, self._stamp = manifest, stamp
+        self.epochs = manifest.get("epochs", [manifest["epoch_dir"]])
         self._needs_df_round = len(self.epochs) > 1 or any(
             os.path.exists(os.path.join(self.index_dir, e, "deleted.parquet"))
             for e in self.epochs
@@ -3401,9 +3478,32 @@ class BM25Engine:
         self._df_cache: dict[tuple[int, str], int] = {}
         self.last_fanout_rows = 0
 
+    def _load_shards(self, manifest: dict) -> None:
+        if self.replicas:
+            ray.get([
+                s.reload.remote(manifest)
+                for rep in self.replicas for s in rep
+            ])
+            return
+        n = max(1, min(self._requested_shards,
+                       manifest["num_serving_buckets"]))
+        self.replicas = [
+            [
+                DocShard.remote(
+                    self.index_dir, dtype=self.dtype,
+                    synonyms=self._synonyms, shard=(i, n),
+                )
+                for i in range(n)
+            ]
+            for _ in range(self._requested_replicas)
+        ]
+        self.shards = self.replicas[0]
+        ray.get([s.ready.remote() for rep in self.replicas for s in rep])
+
     def refresh(self) -> bool:
-        """Reload the shard pool if the committed manifest changed since
-        load; returns True when a reload happened."""
+        """Reload the shards in place if the committed manifest changed
+        since the last load; returns True when a reload happened. The
+        actors stay the same: each one swaps in the new epoch set."""
         if self._manifest_stamp() == self._stamp:
             return False
         self._load()
@@ -3414,7 +3514,9 @@ class BM25Engine:
             try:
                 self.refresh()
             except FileNotFoundError:
-                pass  # mid-commit rename window; serve the loaded epoch
+                # mid-commit rename window, or a shard whose reload failed:
+                # serve the loaded epoch set; the kept stamp retries next
+                pass
 
     # ---------------------------------------------------- global statistics
 

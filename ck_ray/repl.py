@@ -24,7 +24,7 @@ Commands (anything else is a BM25 query):
     /facet [field=F] Q    full-match-set facet counts (default lang)
     /explain QUERY DOC    per-term BM25 evidence for one doc
     /topk N               set result count (default 10)
-    /stats                index statistics
+    /stats                index statistics + engine reload counters
     /help                 this text
     /quit                 exit
 
@@ -93,6 +93,8 @@ def run_repl(
 
                     for k, v in index_stats(index_dir).items():
                         print(f"  {k}: {v}", file=out)
+                    print(f"  reloads: {eng.reloads}", file=out)
+                    print(f"  last_reload_s: {eng.last_reload_s}", file=out)
                 elif line.startswith("/topk "):
                     top_k = int(line.split()[1])
                     print(f"top_k = {top_k}", file=out)

@@ -303,3 +303,205 @@ def test_deletion_only_update(ray_session, tiny_corpus, tmp_path):
             assert np.array_equal(si, so)
     finally:
         eng.close()
+
+
+# ---------------------------------------------------------------------------
+# in-place reload: a commit reloads the open engine's shard actors in place
+
+RELOAD_QUERIES = [*QUERIES, "merg*", "path:src", "+merge -stream"]
+
+
+def _actor_ids(eng) -> list[str]:
+    return [s._actor_id.hex() for rep in eng.replicas for s in rep]
+
+
+def _assert_matches_fresh(eng, d: str, num_shards: int) -> None:
+    """(doc_id, f32 score) of every query, and a facet count, equal a
+    freshly opened engine's; every replica of ``eng`` answers (the split
+    batch path sends queries to each)."""
+    fresh = BM25Engine(d, num_shards=num_shards)
+    try:
+        want = [fresh.search_raw(q, 50) for q in RELOAD_QUERIES]
+        for q, (wd, ws) in zip(RELOAD_QUERIES, want):
+            di, si = eng.search_raw(q, 50)
+            assert di.tolist() == wd.tolist(), q
+            assert np.array_equal(si, ws), q
+        batch = eng.search_many(RELOAD_QUERIES * 2, top_k=50)
+        for i, (di, si) in enumerate(batch):
+            wd, ws = want[i % len(RELOAD_QUERIES)]
+            assert di.tolist() == wd.tolist()
+            assert np.array_equal(si, ws)
+        assert eng.search_facets("merge", "lang") == fresh.search_facets(
+            "merge", "lang"
+        )
+    finally:
+        fresh.close()
+
+
+def test_refresh_reloads_shards_in_place(ray_session, tiny_corpus, tmp_path):
+    """refresh() after an additive update, a delete_by_query and a
+    compaction keeps every shard actor (same ids: nothing is spawned) and
+    answers bit-identically to a freshly opened engine, with 1 and with
+    2 replicas (shard counts kept small: the engines' 0.5-CPU shards must
+    leave the commits' Ray Data tasks a CPU of the 4-CPU test session)."""
+    import ray.data
+
+    from ck_ray.compact import compact_index
+    from ck_ray.incremental import delete_by_query
+
+    cfg = ckb.IndexConfig(num_parts=4, batch_size=64)
+    d = str(tmp_path / "idx")
+    ckb.build_index(ray.data.from_arrow(tiny_corpus), d, cfg)
+    engines = [
+        BM25Engine(d, num_shards=2, auto_reload=False),
+        BM25Engine(d, num_shards=1, auto_reload=False, num_replicas=2),
+    ]
+    ids = [_actor_ids(e) for e in engines]
+    commits = [
+        lambda: incremental_update(
+            ray.data.from_arrow(_mutate(tiny_corpus)), d, cfg, additive=True
+        ),
+        lambda: delete_by_query(d, "merge -stream"),
+        lambda: compact_index(d, cfg),
+    ]
+    try:
+        assert [e.reloads for e in engines] == [0, 0]
+        assert engines[0].last_reload_s is None
+        for n, commit in enumerate(commits, 1):
+            commit()
+            for e, before in zip(engines, ids):
+                assert e.refresh() is True
+                assert e.refresh() is False
+                assert _actor_ids(e) == before
+                assert e.reloads == n and e.last_reload_s > 0
+                _assert_matches_fresh(e, d, num_shards=2)
+    finally:
+        for e in engines:
+            e.close()
+
+
+def test_compact_to_other_bucket_count_under_open_engine(
+    ray_session, tiny_corpus, tmp_path
+):
+    """A compaction that changes num_serving_buckets reloads the open
+    engine in place too: shard i of n re-derives its buckets (b % n == i)
+    from the manifest it loads, so results equal a freshly opened
+    engine's — when the count grows past the buckets assigned at open
+    (2 shards opened on 2 buckets, then 8) and when it leaves a shard
+    no bucket at all (1)."""
+    import ray.data
+
+    from ck_ray.compact import compact_index
+
+    d = str(tmp_path / "idx")
+    ckb.build_index(
+        ray.data.from_arrow(tiny_corpus), d,
+        ckb.IndexConfig(num_parts=4, batch_size=64, serving_buckets=2),
+    )
+    eng = BM25Engine(d, num_shards=4)
+    ids = _actor_ids(eng)
+    assert len(ids) == 2
+    try:
+        for buckets in (8, 1):
+            compact_index(d, ckb.IndexConfig(
+                num_parts=4, batch_size=64, serving_buckets=buckets
+            ))
+            assert ckb.load_manifest(d)["num_serving_buckets"] == buckets
+            _assert_matches_fresh(eng, d, num_shards=4)  # auto-reloads
+            assert _actor_ids(eng) == ids
+    finally:
+        eng.close()
+
+
+def test_local_index_reload_missing_epoch_keeps_state(tiny_index):
+    """A reload onto an epoch set with a missing epoch dir (one a
+    concurrent compaction removed) raises, and the shard keeps serving
+    its old state."""
+    from ck_ray.query import LocalIndex
+
+    li = LocalIndex(tiny_index, shard=(0, 2))
+    man = ckb.load_manifest(tiny_index)
+    epochs = list(li.epochs)
+    before = [li.query_topk(q, 20) for q in RELOAD_QUERIES]
+    with pytest.raises(FileNotFoundError, match="epoch-9999"):
+        li.reload(dict(man, epochs=[*epochs, "epoch-9999"]))
+    assert li.epochs == epochs
+    for q, (bd, bs) in zip(RELOAD_QUERIES, before):
+        d, s = li.query_topk(q, 20)
+        assert d.tolist() == bd.tolist() and np.array_equal(s, bs), q
+    li.reload(man)  # a later good reload works
+    d, _ = li.query_topk(RELOAD_QUERIES[0], 20)
+    assert d.tolist() == before[0][0].tolist()
+
+
+def test_engine_keeps_old_state_when_reload_fails(
+    ray_session, tiny_corpus, tmp_path
+):
+    """When the shards cannot load the committed manifest, the engine
+    keeps its old manifest and stamp: refresh() raises, a search serves
+    the loaded epoch set, and the next search after a loadable commit
+    reloads."""
+    import json
+    import os
+
+    import ray.data
+
+    d = str(tmp_path / "idx")
+    ckb.build_index(
+        ray.data.from_arrow(tiny_corpus), d,
+        ckb.IndexConfig(num_parts=4, batch_size=64),
+    )
+    path = os.path.join(d, "manifest.json")
+    good = ckb.load_manifest(d)
+
+    def commit(man):
+        with open(path + ".tmp", "w") as fh:
+            json.dump(man, fh)
+        os.replace(path + ".tmp", path)
+
+    eng = BM25Engine(d, num_shards=2)
+    try:
+        want = [eng.search_raw(q, 20) for q in RELOAD_QUERIES]
+        stamp = eng._stamp
+        epochs = good.get("epochs", [good["epoch_dir"]])
+        commit(dict(good, epochs=[*epochs, "epoch-9999"]))
+        with pytest.raises(FileNotFoundError):
+            eng.refresh()
+        assert eng._stamp == stamp and eng.reloads == 0
+        for q, (wd, ws) in zip(RELOAD_QUERIES, want):  # auto-reload fails
+            di, si = eng.search_raw(q, 20)
+            assert di.tolist() == wd.tolist() and np.array_equal(si, ws), q
+        commit(good)
+        eng.search_raw(RELOAD_QUERIES[0], 20)
+        assert eng.reloads == 1 and eng._stamp != stamp
+        _assert_matches_fresh(eng, d, num_shards=2)
+    finally:
+        eng.close()
+
+
+def test_reloads_keep_local_index_rss_flat(tiny_index):
+    """Five in-place reloads keep a LocalIndex's RSS within a few MB of
+    its first load: the dropped generation's heap goes back to the OS."""
+    import os
+
+    from ck_ray.query import LocalIndex
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux /proc")
+
+    def rss_mb() -> float:
+        with open("/proc/self/status") as fh:
+            return next(
+                int(line.split()[1]) for line in fh
+                if line.startswith("VmRSS:")
+            ) / 1024
+
+    li = LocalIndex(tiny_index)
+    li.query_topk("merge window", 10)
+    first = rss_mb()
+    for _ in range(5):
+        li.reload()
+        li.query_topk("merge window", 10)
+    # about +1 MB here; a reload that kept its old generation alive
+    # would add about 1 MB per reload on this index
+    assert rss_mb() - first < 3.0

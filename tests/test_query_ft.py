@@ -1,10 +1,12 @@
 """Serving fault tolerance: DocShard actors restart after a worker
-death. A LocalIndex is read-only after __init__ (every byte re-derived
-from index_dir), so ``max_restarts=-1, max_task_retries=-1`` lets Ray
-respawn a killed shard and transparently retry the idempotent query
-method — on a real cluster one lost node must not brick an open engine
-(reference keeps its tantivy searcher in-process; the distributed
-analogue is shard respawn)."""
+death. A LocalIndex's state is a pure function of index_dir and the
+epoch list it loaded (queries never mutate it; an in-place ``reload``
+swaps in another committed epoch list), so ``max_restarts=-1,
+max_task_retries=-1`` lets Ray respawn a killed shard — its constructor
+loads the committed manifest with the buckets of its ``shard=(i, n)``
+slot — and transparently retry the idempotent query method. On a real
+cluster one lost node must not brick an open engine (reference keeps its
+tantivy searcher in-process; the distributed analogue is shard respawn)."""
 
 import pytest
 import ray
@@ -37,6 +39,47 @@ def test_shard_killed_then_queries_identical(ray_session, tiny_index):
         ray.kill(eng.shards[-1], no_restart=False)
         df = eng.search(QUERIES[0], top_k=10)
         assert df["doc_id"].tolist() == before[0][0]
+    finally:
+        eng.close()
+
+
+def test_shard_killed_after_in_place_reload_restarts_current(
+    ray_session, tiny_corpus, tmp_path
+):
+    """A shard killed after in-place reloads (an additive update, then a
+    compaction to another bucket count) restarts onto the CURRENT
+    manifest and its slot's buckets: answers equal a fresh engine's."""
+    import numpy as np
+    import ray.data
+
+    import ck_ray.build as ckb
+    from ck_ray.compact import compact_index
+    from ck_ray.incremental import incremental_update
+
+    cfg = ckb.IndexConfig(num_parts=4, batch_size=64)
+    d = str(tmp_path / "idx")
+    ckb.build_index(ray.data.from_arrow(tiny_corpus.slice(20)), d, cfg)
+    eng = BM25Engine(d, num_shards=3, auto_reload=False)
+    try:
+        incremental_update(
+            ray.data.from_arrow(tiny_corpus.slice(0, 20)), d, cfg,
+            additive=True,
+        )
+        assert eng.refresh() is True
+        compact_index(d, ckb.IndexConfig(
+            num_parts=4, batch_size=64, serving_buckets=4
+        ))
+        assert eng.refresh() is True
+        fresh = BM25Engine(d, num_shards=3, auto_reload=False)
+        try:
+            want = [fresh.search_raw(q, 10) for q in QUERIES]
+        finally:
+            fresh.close()
+        for victim in (eng.shards[0], eng.shards[-1]):
+            ray.kill(victim, no_restart=False)
+            for q, (wd, ws) in zip(QUERIES, want):
+                di, si = eng.search_raw(q, 10)
+                assert list(di) == list(wd) and np.array_equal(si, ws), q
     finally:
         eng.close()
 

@@ -37,6 +37,8 @@ def test_query_and_commands(ray_session, tiny_index):
     assert "(df " in text              # completion rows
     assert "total " in text            # facet total
     assert "num_docs" in text          # stats keys
+    assert "reloads: 0" in text        # engine counters beside them
+    assert "last_reload_s: None" in text
 
 
 def test_span_and_suggest(ray_session, tiny_index):
