@@ -32,9 +32,12 @@ from __future__ import annotations
 import copy
 import ctypes
 import hashlib
+import inspect
 import os
+import re
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -45,7 +48,7 @@ import ray
 
 from . import codec, scoring
 from .build import load_manifest
-from .strdist import edit_within
+from .strdist import edit_distance, edit_within
 from .tokenizer import tokenize_text
 
 FIELD_IDS = {"content": 0, "path": 1}
@@ -1728,13 +1731,16 @@ class LocalIndex:
             return query
         return rewrite_synonyms(parse_query(query), self._synonyms)
 
-    def query_topk(
-        self, query: str, k: int = 100, pruning: bool = True, df_map=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """This shard's top-k (doc_ids, raw scores) for the query."""
+    def _expanded(self, query):
+        """The front of every query evaluation: parse (or take the
+        driver's tree), rewrite the dictionary-expanded leaves (prefix,
+        fuzzy, range, regex) against this shard's dictionary — they
+        then score/highlight as their EXPANSIONS, as Lucene rewrites
+        them — and gather the rows of every leaf term. Returns
+        ``(tree, rows)``, or None for the empty query."""
         tree = self._parse(query)
         if tree is None:
-            return np.empty(0, np.uint64), np.empty(0, self.dtype)
+            return None
         if any(
             c.prefix
             or c.fuzzy
@@ -1746,11 +1752,21 @@ class LocalIndex:
                 tree, self._expand_prefix, self._expand_range,
                 self._expand_fuzzy, self._expand_regex,
             )
-        leaves = collect_clauses(tree)
         keys = dict.fromkeys(
-            (FIELD_IDS[c.field], t) for c in leaves for t in c.terms
+            (FIELD_IDS[c.field], t)
+            for c in collect_clauses(tree)
+            for t in c.terms
         )
-        rows = self._rows_for(keys)
+        return tree, self._rows_for(keys)
+
+    def query_topk(
+        self, query: str, k: int = 100, pruning: bool = True, df_map=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """This shard's top-k (doc_ids, raw scores) for the query."""
+        prep = self._expanded(query)
+        if prep is None:
+            return np.empty(0, np.uint64), np.empty(0, self.dtype)
+        tree, rows = prep
         flat = self._flat_should_clauses(tree)
         if pruning and flat is not None and self._can_prune(flat):
             return self._search_maxscore(flat, rows, k, df_map)
@@ -1901,25 +1917,8 @@ class LocalIndex:
         aggregations / per-bucket top hits) share this path; it is
         always the exact TAAT evaluation — MaxScore pruning only helps
         ranked cuts, never full-set collection."""
-        tree = self._parse(query)
-        if tree is None:
-            return np.empty(0, np.uint64), np.empty(0, self.dtype)
-        if any(
-            c.prefix
-            or c.fuzzy
-            or c.range_spec is not None
-            or c.regex_spec is not None
-            for c in collect_clauses(tree)
-        ):
-            tree = expand_prefix_tree(
-                tree, self._expand_prefix, self._expand_range,
-                self._expand_fuzzy, self._expand_regex,
-            )
-        leaves = collect_clauses(tree)
-        keys = dict.fromkeys(
-            (FIELD_IDS[c.field], t) for c in leaves for t in c.terms
-        )
-        res = self._eval_node(tree, self._rows_for(keys), df_map)
+        prep = self._expanded(query)
+        res = None if prep is None else self._eval_node(*prep, df_map)
         if res is None:
             return np.empty(0, np.uint64), np.empty(0, self.dtype)
         return res
@@ -2478,25 +2477,11 @@ class LocalIndex:
         For unboosted trees the contributions of matched non-MUST_NOT
         leaves sum to ``total`` in leaf order (pinned by pytest)."""
         doc = np.uint64(doc_id)
-        tree = self._parse(query)
-        if tree is None:
+        prep = self._expanded(query)
+        if prep is None:
             return None
-        if any(
-            c.prefix
-            or c.fuzzy
-            or c.range_spec is not None
-            or c.regex_spec is not None
-            for c in collect_clauses(tree)
-        ):
-            tree = expand_prefix_tree(
-                tree, self._expand_prefix, self._expand_range,
-                self._expand_fuzzy, self._expand_regex,
-            )
+        tree, rows = prep
         leaves = collect_clauses(tree)
-        keys = dict.fromkeys(
-            (FIELD_IDS[c.field], t) for c in leaves for t in c.terms
-        )
-        rows = self._rows_for(keys)
         res = self._eval_node(tree, rows, df_map)
         if res is None:
             return None
@@ -3154,29 +3139,13 @@ class LocalIndex:
             },
             np.empty(0, np.uint64),
         )
-        tree = self._parse(query)
-        if tree is None:
+        prep = self._expanded(query)
+        if prep is None:
             return empty
-        if any(
-            c.prefix
-            or c.fuzzy
-            or c.range_spec is not None
-            or c.regex_spec is not None
-            for c in collect_clauses(tree)
-        ):
-            # dictionary-expanded leaves highlight their EXPANSIONS
-            # (Lucene's unified highlighter extracts terms the same way)
-            tree = expand_prefix_tree(
-                tree, self._expand_prefix, self._expand_range,
-                self._expand_fuzzy, self._expand_regex,
-            )
         # evaluate the ALREADY-expanded tree directly — re-entering
         # _match_set would rerun the O(dictionary) expansion scans
-        leaves_m = collect_clauses(tree)
-        keys_m = dict.fromkeys(
-            (FIELD_IDS[c.field], t) for c in leaves_m for t in c.terms
-        )
-        res_m = self._eval_node(tree, self._rows_for(keys_m), df_map)
+        tree, rows = prep
+        res_m = self._eval_node(tree, rows, df_map)
         docs = (
             np.empty(0, np.uint64)
             if res_m is None
@@ -3326,6 +3295,29 @@ DocShard = ray.remote(
     num_cpus=0.5, max_restarts=-1, max_task_retries=-1
 )(LocalIndex)
 
+# the shard methods that evaluate a query tree: ``BM25Engine._fanout``
+# hands each of them the plan's global df map
+_DF_OPS = frozenset(
+    name for name, fn in vars(LocalIndex).items()
+    if not name.startswith("_") and callable(fn)
+    and "df_map" in inspect.signature(fn).parameters
+)
+
+
+class _Plan(NamedTuple):
+    """One public call's request state (``BM25Engine._plan``): the
+    driver-parsed trees of its queries, their global df map (None when
+    the serving rows' dfs are exact) and the one replica every round of
+    the call goes to."""
+
+    trees: list
+    df_map: dict | None
+    replica: list
+
+    @property
+    def tree(self):
+        return self.trees[0]
+
 
 def parquet_field_source(
     parquet_path: str, key_col: str, text_col: str
@@ -3379,14 +3371,24 @@ class BM25Engine:
     owning a disjoint set of doc-range buckets (document-partitioned
     serving; SURVEY.md §7.2 step 7).
 
-    A query fans out to every shard; each shard scores its doc ranges
-    locally (all of a doc's term contributions are shard-local, so scores
-    are exact, not partial) and returns only its top-k; the driver's merge
-    is a concatenate + sort of <= shards * k rows. ``last_fanout_rows``
-    records the actual row traffic of the latest query (tested O(s*k)).
+    Every public call takes one request path, plan -> fanout -> merge:
+
+    - ``_plan(queries, key)`` runs ONCE per call: the call's one
+      auto-reload check, the cached driver-side parse, the expansion-cap
+      and df rounds, and the sticky pick of ONE replica. Multi-round
+      calls (rescore, pinned, t_test, sampled significant_text, collapse,
+      top_metrics) reuse the plan, so every round hits one replica and
+      one epoch set; only ``search_many`` spreads a batch over replicas.
+    - ``_fanout(plan, op, *args)`` calls shard method ``op`` on every
+      shard of the plan's replica with one ``ray.get``. Shards receive
+      driver-parsed TREES, never query strings, plus the plan's df map.
+    - The merge is small: a doc's whole score is shard-local, so each
+      shard returns only its exact top-k or exact-int collector state; a
+      ranked merge sorts <= shards * k rows. ``last_fanout_rows`` records
+      the latest ranked merge's row traffic (tested O(s*k)).
 
     Global df statistics: exact from serving rows for single-epoch
-    indexes; with incremental epochs/deletions the engine first sums the
+    indexes; with incremental epochs/deletions the plan first sums the
     shards' local live dfs (ints only) and passes the exact global df map
     into the scoring round — the classic two-phase distributed-IR shape.
     """
@@ -3518,28 +3520,76 @@ class BM25Engine:
                 # serve the loaded epoch set; the kept stamp retries next
                 pass
 
+    # ---------------------------------------------------- the request path
+
+    def _plan(self, queries=(), key: str | None = None) -> _Plan:
+        """The planning step of a public call: its one auto-reload
+        check, then ``_prepare`` on the replica ``key`` routes to."""
+        self._maybe_reload()
+        return self._prepare(list(queries), self._next_replica(key))
+
+    def _prepare(self, queries: list[str], replica: list) -> _Plan:
+        """Parse ``queries`` (cached), run their expansion-cap rounds and
+        df round on ``replica``, and return the plan that every shard
+        round of the call shares."""
+        plan = _Plan([self._parse_global(q) for q in queries], None, replica)
+        return plan._replace(df_map=self._df_map_for(plan))
+
+    def _fanout(self, plan: _Plan, op, *args, **kw) -> list:
+        """The engine's one shard round trip: call shard method ``op``
+        on every shard of the plan's replica and gather the replies (in
+        shard order) with ONE ``ray.get``; ops that evaluate a query tree
+        also get the plan's ``df_map``. ``op`` may instead be a list of
+        ``(op, args[, replica])`` calls, all submitted before the gather,
+        which then returns one reply list per call."""
+        many = isinstance(op, list)
+        calls = [
+            (name, a, rep[0] if rep else plan.replica)
+            for name, a, *rep in (op if many else [(op, args)])
+        ]
+        flat = ray.get([
+            getattr(s, name).remote(
+                *a,
+                **({**kw, "df_map": plan.df_map} if name in _DF_OPS else kw),
+            )
+            for name, a, shards in calls
+            for s in shards
+        ])
+        replies = iter(flat)
+        out = [[next(replies) for _ in shards] for _, _, shards in calls]
+        return out if many else out[0]
+
     # ---------------------------------------------------- global statistics
 
-    def _global_dfs(self, keys: list[tuple[int, str]]) -> dict:
+    def _global_dfs(
+        self, keys: list[tuple[int, str]], plan: _Plan | None = None
+    ) -> dict:
+        if plan is None:
+            plan = self._plan()
         missing = [k for k in keys if k not in self._df_cache]
         if missing:
-            per = ray.get(
-                [s.local_dfs.remote(missing) for s in self.shards]
+            self._df_cache.update(
+                self._sum_aligned(plan, "local_dfs", missing)
             )
-            for i, k in enumerate(missing):
-                self._df_cache[k] = int(sum(p[i] for p in per))
         return {k: self._df_cache[k] for k in keys}
+
+    def _sum_aligned(self, plan: _Plan, op: str, keys: list, *args) -> dict:
+        """Exact LIVE global count per key: shard op ``op`` answers one
+        int per key (aligned with ``keys``), and doc-partitioned
+        postings make the global value their sum."""
+        per = np.asarray(self._fanout(plan, op, keys, *args), np.int64)
+        return {k: int(c) for k, c in zip(keys, np.sum(per, axis=0))}
 
     _PARSE_CACHE_MAX = 65536
 
     def _parse_global(self, query: str):
         """Driver-side parse + synonym rewrite, cached by query string.
-        The hot serving paths (search / search_raw / search_many) fan
-        the TREE out to shards instead of the string, so each distinct
-        query is parsed once per engine rather than once per
-        (query, shard) — the repeated parse (~1-4 ms of pure-Python
-        lexing) was the only serving-path fixed cost that grew with
-        shard count (r3's qps-scaling gap)."""
+        ``_plan`` parses every query of a call here and the shards get
+        the TREE, never the string, so each distinct query is parsed
+        once per engine rather than once per (query, shard) — the
+        repeated parse (~1-4 ms of pure-Python lexing) was the only
+        serving-path fixed cost that grew with shard count (r3's
+        qps-scaling gap)."""
         tree = self._parse_cache.get(query, _PARSE_MISS)
         if tree is not _PARSE_MISS:
             return tree
@@ -3549,110 +3599,71 @@ class BM25Engine:
         self._parse_cache[query] = tree
         return tree
 
-    def _df_map_for(self, queries: list[str]) -> dict | None:
-        # dedupe first: df keys are a union, so repeated queries (batch
-        # workloads) cost one parse, and that one is cache-warm
+    # the dictionary-expanded leaf kinds, in cap-check order: (shard op,
+    # clause -> expansion spec or None, spec -> cap-error label)
+    _EXPANSIONS = (
+        ("expand_prefixes",
+         lambda c: (c.field, c.terms[-1]) if c.prefix else None,
+         lambda s: f"prefix '{s[1]}*'"),
+        ("expand_ranges",
+         lambda c: None if c.range_spec is None else (c.field, *c.range_spec),
+         lambda s: f"range [{s[1]} TO {s[2]}]"),
+        ("expand_fuzzies",
+         lambda c: (
+             (c.field, c.terms[0], c.fuzzy, c.fuzzy_transpose)
+             if c.fuzzy else None
+         ),
+         lambda s: f"fuzzy '{s[1]}~{s[2]}'"),
+        ("expand_regexes",
+         lambda c: None if c.regex_spec is None else (c.field, c.regex_spec),
+         lambda s: f"regex /{s[1]}/"),
+    )
+
+    def _df_map_for(self, plan: _Plan) -> dict | None:
+        # repeated queries (batch workloads) share one cached tree, so
+        # dedupe the trees before collecting clauses
         clauses = [
             c
-            for q in dict.fromkeys(queries)
-            for c in collect_clauses(self._parse_global(q))
+            for t in {id(t): t for t in plan.trees}.values()
+            for c in collect_clauses(t)
         ]
-        # prefix clauses: the expansion set is dictionary-dependent, so
-        # union the shards' local expansions first (terms only — tiny).
+        # dictionary-expanded leaves: the expansion set is
+        # dictionary-dependent, so union the shards' local expansions
+        # (terms only — tiny), every kind in one concurrent round.
         # MAX_PREFIX_EXPANSIONS is a GLOBAL limit (Lucene's
         # maxClauseCount counts the rewritten disjunction, and the
         # oracle expands against the corpus-global dictionary), so it is
         # enforced here on the UNION — the shard-local raise in
         # ``expand_prefix_tree`` is only a backstop for standalone
-        # single-shard use, where local == global.
-        pref = list(
-            dict.fromkeys(
-                (c.field, c.terms[-1]) for c in clauses if c.prefix
-            )
-        )
+        # single-shard use, where local == global. Ranges, fuzzies and
+        # regexes are const-score, so only the prefix unions feed the df
+        # round.
+        specs = {
+            op: list(dict.fromkeys(
+                s for s in map(spec_of, clauses) if s is not None
+            ))
+            for op, spec_of, _ in self._EXPANSIONS
+        }
+        for _f, pat in specs["expand_regexes"]:
+            try:  # a clean driver-side error before any RPC
+                re.compile(pat)
+            except re.error as e:
+                raise ValueError(f"bad regex /{pat}/: {e}") from None
+        rounds = [(op, lab) for op, _, lab in self._EXPANSIONS if specs[op]]
+        replies = self._fanout(
+            plan, [(op, (specs[op],)) for op, _ in rounds]
+        ) if rounds else []
         expanded: dict[tuple[str, str], list[str]] = {}
-        if pref:
-            per = ray.get(
-                [s.expand_prefixes.remote(pref) for s in self.shards]
-            )
-            for i, (f, p) in enumerate(pref):
-                union = sorted({t for sh in per for t in sh[i]})
-                if len(union) > MAX_PREFIX_EXPANSIONS:
-                    raise ValueError(
-                        f"prefix '{p}*' expands to {len(union)} terms "
-                        f"(max {MAX_PREFIX_EXPANSIONS})"
-                    )
-                expanded[(f, p)] = union
-        # range clauses: enforce the GLOBAL expansion cap on the union of
-        # the shards' local dictionary intervals (same rule as prefixes;
-        # const-score, so no df round is ever needed for them)
-        rng = list(
-            dict.fromkeys(
-                (c.field, c.range_spec)
-                for c in clauses
-                if c.range_spec is not None
-            )
-        )
-        if rng:
-            specs = [(f, *spec) for f, spec in rng]
-            per = ray.get(
-                [s.expand_ranges.remote(specs) for s in self.shards]
-            )
-            for i, (f, spec) in enumerate(rng):
+        for (op, label), per in zip(rounds, replies):
+            for i, spec in enumerate(specs[op]):
                 union = {t for sh in per for t in sh[i]}
                 if len(union) > MAX_PREFIX_EXPANSIONS:
                     raise ValueError(
-                        f"range [{spec[0]} TO {spec[1]}] expands to "
-                        f"{len(union)} terms (max {MAX_PREFIX_EXPANSIONS})"
-                    )
-        # fuzzy clauses: const-score like ranges (no df round needed);
-        # the GLOBAL expansion cap is enforced on the union of the
-        # shards' local dictionary scans
-        fz = list(
-            dict.fromkeys(
-                (c.field, c.terms[0], c.fuzzy, c.fuzzy_transpose)
-                for c in clauses
-                if c.fuzzy
-            )
-        )
-        if fz:
-            per = ray.get(
-                [s.expand_fuzzies.remote(fz) for s in self.shards]
-            )
-            for i, (f, t, d, _tr) in enumerate(fz):
-                union = {x for sh in per for x in sh[i]}
-                if len(union) > MAX_PREFIX_EXPANSIONS:
-                    raise ValueError(
-                        f"fuzzy '{t}~{d}' expands to {len(union)} terms "
+                        f"{label(spec)} expands to {len(union)} terms "
                         f"(max {MAX_PREFIX_EXPANSIONS})"
                     )
-        # regex clauses: const-score like ranges/fuzzy — validate the
-        # pattern and enforce the GLOBAL cap on the shard-union
-        rx = list(
-            dict.fromkeys(
-                (c.field, c.regex_spec)
-                for c in clauses
-                if c.regex_spec is not None
-            )
-        )
-        if rx:
-            import re as _re
-
-            for _f, pat in rx:  # clean driver-side error, not RayTaskError
-                try:
-                    _re.compile(pat)
-                except _re.error as e:
-                    raise ValueError(f"bad regex /{pat}/: {e}") from None
-            per = ray.get(
-                [s.expand_regexes.remote(rx) for s in self.shards]
-            )
-            for i, (f, pat) in enumerate(rx):
-                union = {x for sh in per for x in sh[i]}
-                if len(union) > MAX_PREFIX_EXPANSIONS:
-                    raise ValueError(
-                        f"regex /{pat}/ expands to {len(union)} terms "
-                        f"(max {MAX_PREFIX_EXPANSIONS})"
-                    )
+                if op == "expand_prefixes":
+                    expanded[spec] = sorted(union)
         if not self._needs_df_round:
             return None
         keys = dict.fromkeys(
@@ -3669,22 +3680,40 @@ class BM25Engine:
         for (f, _p), union in expanded.items():
             for t in union:
                 keys[(FIELD_IDS[f], t)] = None
-        return self._global_dfs(list(keys))
+        return self._global_dfs(list(keys), plan)
 
-    # ------------------------------------------------------------ searching
+    # ---------------------------------------------------------- merging
 
     @staticmethod
-    def _merge_topk(
-        parts: list[tuple[np.ndarray, np.ndarray]], k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        docs = np.concatenate([p[0] for p in parts])
-        if len(docs) == 0:
-            return docs.astype(np.uint64), np.concatenate(
-                [p[1] for p in parts]
-            )
-        scores = np.concatenate([p[1] for p in parts])
-        order = np.lexsort((docs, -scores.astype(np.float64)))[:k]
-        return docs[order], scores[order]
+    def _concat(parts: list, cols) -> dict:
+        """Column-wise concatenation of the shards' reply arrays."""
+        return {c: np.concatenate([p[c] for p in parts]) for c in cols}
+
+    @staticmethod
+    def _sum_counts(maps) -> dict:
+        """Key-wise sum of the shards' exact-int count maps (doc
+        partitioning counts every doc in exactly one shard)."""
+        total: dict = {}
+        for m in maps:
+            for v, c in m.items():
+                total[v] = total.get(v, 0) + c
+        return total
+
+    def _merge_hits(
+        self, parts: list[dict], k: int,
+        cols=("doc_ids", "scores", "paths"),
+    ) -> dict:
+        """The standard O(shards * k) ranked merge of per-shard hit
+        columns (``cols[0]`` doc ids, ``cols[1]`` scores): concatenate
+        and cut the (score desc, doc_id asc) top ``k``."""
+        self.last_fanout_rows = int(sum(len(p[cols[0]]) for p in parts))
+        out = self._concat(parts, cols)
+        order = np.lexsort(
+            (out[cols[0]], -out[cols[1]].astype(np.float64))
+        )[:k]
+        return {c: v[order] for c, v in out.items()}
+
+    # ------------------------------------------------------------ searching
 
     def search_raw(
         self, query: str, top_k: int | None = None, *,
@@ -3698,22 +3727,16 @@ class BM25Engine:
         discards the first ``offset`` rows. Traffic stays
         O(shards * (offset + k)); cursor-style pagination (the MCP
         session path) is the right tool once offsets grow large."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
         if offset < 0:
             raise ValueError("offset must be >= 0")
         fetch = k + offset
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        parts = ray.get(
-            [
-                s.query_topk.remote(tree, fetch, pruning, df_map)
-                for s in self._next_replica(query)
-            ]
+        plan = self._plan([query], query)
+        hits = self._merge_hits(
+            self._fanout(plan, "query_topk", plan.tree, fetch, pruning),
+            fetch, (0, 1),
         )
-        self.last_fanout_rows = int(sum(len(p[0]) for p in parts))
-        docs, scores = self._merge_topk(parts, fetch)
-        return docs[offset:], scores[offset:]
+        return hits[0][offset:], hits[1][offset:]
 
     def search_after(
         self, query: str, after: tuple | None = None,
@@ -3728,18 +3751,10 @@ class BM25Engine:
         cursor carries RAW float64 scores: both pages come from the
         same deterministic shard evaluation, so the strict-after filter
         compares bit-identical values."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query)
-        parts = ray.get(
-            [
-                s.query_topk_after.remote(query, k, after, df_map)
-                for s in rep
-            ]
-        )
-        self.last_fanout_rows = int(sum(len(p[0]) for p in parts))
-        return self._merge_topk(parts, k)
+        plan = self._plan([query], query)
+        parts = self._fanout(plan, "query_topk_after", plan.tree, k, after)
+        return tuple(self._merge_hits(parts, k, (0, 1)).values())
 
     def search_dismax(
         self, queries: list[str], tie: float = 0.0,
@@ -3753,26 +3768,12 @@ class BM25Engine:
         partitioning keeps every clause score exact and shard-local;
         the merge is the standard O(shards * k) (score desc, doc_id
         asc) cut. Returns ``{"doc_ids", "scores", "paths"}``."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
         qs = list(queries)
-        df_map = self._df_map_for(qs)
-        rep = self._next_replica("\x00".join(qs))
-        parts = ray.get(
-            [s.query_dismax.remote(qs, tie, k, df_map) for s in rep]
+        plan = self._plan(qs, "\x00".join(qs))
+        return self._merge_hits(
+            self._fanout(plan, "query_dismax", plan.trees, tie, k), k
         )
-        self.last_fanout_rows = int(
-            sum(len(p["doc_ids"]) for p in parts)
-        )
-        docs = np.concatenate([p["doc_ids"] for p in parts])
-        scores = np.concatenate([p["scores"] for p in parts])
-        paths = np.concatenate([p["paths"] for p in parts])
-        order = np.lexsort((docs, -scores))[:k]
-        return {
-            "doc_ids": docs[order],
-            "scores": scores[order],
-            "paths": paths[order],
-        }
 
     def explain(self, query: str, doc_id: int) -> dict | None:
         """Lucene ``explain()`` / ES ``_explain``: the full score
@@ -3781,15 +3782,8 @@ class BM25Engine:
         and the BM25 evidence (df/tf/dl/idf) behind every scored term.
         Doc partitioning means exactly one shard holds the doc; the
         fan-out keeps the single non-None answer. None = no match."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query)
-        parts = ray.get(
-            [
-                s.query_explain.remote(query, int(doc_id), df_map)
-                for s in rep
-            ]
-        )
+        plan = self._plan([query], query)
+        parts = self._fanout(plan, "query_explain", plan.tree, int(doc_id))
         hits = [p for p in parts if p is not None]
         assert len(hits) <= 1, "doc partitioning violated: doc in 2 shards"
         return hits[0] if hits else None
@@ -3810,25 +3804,14 @@ class BM25Engine:
         local (candidate, live df) maps, the driver sums dfs and
         recomputes the distances. Returns
         ``[{"text", "distance", "df"}, ...]``."""
-        from .strdist import edit_distance
-        from .tokenizer import tokenize_text
-
         toks = tokenize_text(term)
         if not toks:
             return []
         t0 = toks[0]
-        self._maybe_reload()
-        rep = self._next_replica(f"#suggest:{t0}")
-        parts = ray.get(
-            [
-                s.query_suggest.remote(t0, int(max_edits), field)
-                for s in rep
-            ]
+        plan = self._plan([], f"#suggest:{t0}")
+        df = self._sum_counts(
+            self._fanout(plan, "query_suggest", t0, int(max_edits), field)
         )
-        df: dict[str, int] = {}
-        for p in parts:
-            for t, c in p.items():
-                df[t] = df.get(t, 0) + c
         df.pop(t0, None)
         out = [
             {"text": t, "distance": int(edit_distance(t0, t)), "df": c}
@@ -3859,34 +3842,23 @@ class BM25Engine:
         fixed order, so a SQL oracle reproduces every double. Returns
         the re-ranked window's top-k as ``{"doc_ids", "scores",
         "primary", "secondary"}``."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 10
         w = max(int(window_size), 1)
-        df_map = self._df_map_for([query, rescore_query])
-        rep = self._next_replica(f"{query}\x00{rescore_query}")
+        plan = self._plan(
+            [query, rescore_query], f"{query}\x00{rescore_query}"
+        )
         # phase 1: primary top-window (standard O(shards * w) merge)
-        parts = ray.get(
-            [s.query_topk.remote(query, w, True, df_map) for s in rep]
+        win = self._merge_hits(
+            self._fanout(plan, "query_topk", plan.trees[0], w, True),
+            w, (0, 1),
         )
-        docs = np.concatenate([p[0] for p in parts])
-        prim = np.concatenate([p[1] for p in parts]).astype(np.float64)
-        if not len(docs):
-            return {
-                "doc_ids": np.empty(0, np.uint64),
-                "scores": np.empty(0, np.float64),
-                "primary": np.empty(0, np.float64),
-                "secondary": np.empty(0, np.float64),
-            }
-        order = np.lexsort((docs, -prim))[:w]
-        docs, prim = docs[order], prim[order]
-        # phase 2: secondary scores at exactly the window's ids
-        sec_parts = ray.get(
-            [
-                s.query_scores_at.remote(rescore_query, docs, df_map)
-                for s in rep
-            ]
-        )
-        sec = np.sum(sec_parts, axis=0)  # one owner per doc -> no overlap
+        docs, prim = win[0], win[1].astype(np.float64)
+        # phase 2: secondary scores at exactly the window's ids (one
+        # owner per doc -> the sum has no overlap)
+        sec = np.sum(
+            self._fanout(plan, "query_scores_at", plan.trees[1], docs),
+            axis=0,
+        ) if len(docs) else np.empty(0, np.float64)
         scores = (
             np.float64(query_weight) * prim
             + np.float64(rescore_query_weight) * sec
@@ -3911,30 +3883,14 @@ class BM25Engine:
         both match sets shard-local and exact; the merge is the standard
         O(shards * k) (score desc, doc_id asc) cut. Returns
         ``{"doc_ids", "scores", "paths"}``."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
-        df_map = self._df_map_for([positive, negative])
-        rep = self._next_replica(f"{positive}\x00{negative}")
-        parts = ray.get(
-            [
-                s.query_boosting.remote(
-                    positive, negative, negative_boost, k, df_map
-                )
-                for s in rep
-            ]
+        plan = self._plan([positive, negative], f"{positive}\x00{negative}")
+        return self._merge_hits(
+            self._fanout(
+                plan, "query_boosting", *plan.trees, negative_boost, k
+            ),
+            k,
         )
-        self.last_fanout_rows = int(
-            sum(len(p["doc_ids"]) for p in parts)
-        )
-        docs = np.concatenate([p["doc_ids"] for p in parts])
-        scores = np.concatenate([p["scores"] for p in parts])
-        paths = np.concatenate([p["paths"] for p in parts])
-        order = np.lexsort((docs, -scores))[:k]
-        return {
-            "doc_ids": docs[order],
-            "scores": scores[order],
-            "paths": paths[order],
-        }
 
     def search_function_score(
         self, query: str, field: str, factor: float = 1.0,
@@ -3949,31 +3905,13 @@ class BM25Engine:
         a shard-local searchsorted over doc-partitioned metadata; the
         merge is the standard O(shards * k) (score desc, doc_id asc)
         cut. Returns ``{"doc_ids", "scores", "paths"}``."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(f"{query}\x00#fvf:{field}")
-        parts = ray.get(
-            [
-                s.query_function_score.remote(
-                    query, field, factor, modifier, boost_mode,
-                    missing, k, df_map,
-                )
-                for s in rep
-            ]
+        plan = self._plan([query], f"{query}\x00#fvf:{field}")
+        parts = self._fanout(
+            plan, "query_function_score", plan.tree, field, factor,
+            modifier, boost_mode, missing, k,
         )
-        self.last_fanout_rows = int(
-            sum(len(p["doc_ids"]) for p in parts)
-        )
-        docs = np.concatenate([p["doc_ids"] for p in parts])
-        scores = np.concatenate([p["scores"] for p in parts])
-        paths = np.concatenate([p["paths"] for p in parts])
-        order = np.lexsort((docs, -scores))[:k]
-        return {
-            "doc_ids": docs[order],
-            "scores": scores[order],
-            "paths": paths[order],
-        }
+        return self._merge_hits(parts, k)
 
     def search_min_should(
         self, clauses: list[str], m: int, top_k: int | None = None,
@@ -3985,26 +3923,12 @@ class BM25Engine:
         the sum of their matching clause scores. Shard-local counting
         is exact under doc partitioning; the merge is the standard
         O(shards * k) cut. Returns ``{"doc_ids", "scores", "paths"}``."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
         qs = list(clauses)
-        df_map = self._df_map_for(qs)
-        rep = self._next_replica("\x00".join(qs) + f"#{m}")
-        parts = ray.get(
-            [s.query_min_should.remote(qs, m, k, df_map) for s in rep]
+        plan = self._plan(qs, "\x00".join(qs) + f"#{m}")
+        return self._merge_hits(
+            self._fanout(plan, "query_min_should", plan.trees, m, k), k
         )
-        self.last_fanout_rows = int(
-            sum(len(p["doc_ids"]) for p in parts)
-        )
-        docs = np.concatenate([p["doc_ids"] for p in parts])
-        scores = np.concatenate([p["scores"] for p in parts])
-        paths = np.concatenate([p["paths"] for p in parts])
-        order = np.lexsort((docs, -scores))[:k]
-        return {
-            "doc_ids": docs[order],
-            "scores": scores[order],
-            "paths": paths[order],
-        }
 
     def suggest_complete(
         self, prefix: str, size: int = 10, field: str = "content"
@@ -4018,22 +3942,17 @@ class BM25Engine:
         prefix runs through the analyzer first (lowercase etc.); with
         multi-token input the LAST token is completed (the
         search-as-you-type convention)."""
-        self._maybe_reload()
         toks = tokenize_text(prefix)
         if not toks:
             return []
         prefix = toks[-1]
-        per = ray.get(
-            [
-                s.expand_prefixes.remote([(field, prefix)])
-                for s in self.shards
-            ]
-        )
+        plan = self._plan([], f"#complete:{field}:{prefix}")
+        per = self._fanout(plan, "expand_prefixes", [(field, prefix)])
         union = sorted({t for sh in per for t in sh[0]})
         if not union:
             return []
         fid = FIELD_IDS[field]
-        dfs = self._global_dfs([(fid, t) for t in union])
+        dfs = self._global_dfs([(fid, t) for t in union], plan)
         ranked = sorted(union, key=lambda t: (-dfs[(fid, t)], t))
         return [(t, int(dfs[(fid, t)])) for t in ranked[:size]]
 
@@ -4056,19 +3975,11 @@ class BM25Engine:
         exhausted)."""
         import pandas as pd
 
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query + "\x00#composite")
-        parts = ray.get(
-            [
-                s.query_composite.remote(query, sources, df_map)
-                for s in rep
-            ]
+        plan = self._plan([query], query + "\x00#composite")
+        total = self._sum_counts(
+            dict(zip(p["keys"], p["counts"]))
+            for p in self._fanout(plan, "query_composite", plan.tree, sources)
         )
-        total: dict[tuple, int] = {}
-        for p in parts:
-            for k, c in zip(p["keys"], p["counts"]):
-                total[k] = total.get(k, 0) + c
         keys = list(total)
         # multi-level sort honoring per-source direction (stable sorts
         # applied last-source-first)
@@ -4134,54 +4045,50 @@ class BM25Engine:
         GLOBAL rank-1 score, which the offset+k overfetch always
         contains, so page 2's normalized scores equal page 1's for the
         same docs."""
-        import pandas as pd
-
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
         if offset < 0:
             raise ValueError("offset must be >= 0")
+        return self._search_frame(
+            self._plan([query], query), k, offset, threshold, with_metadata
+        )
+
+    def _search_frame(
+        self, plan: _Plan, k: int, offset: int = 0,
+        threshold: float | None = None, with_metadata: bool = True,
+    ):
+        """``search``'s ranked round and DataFrame for ``plan.tree``."""
+        import pandas as pd
+
         fetch = k + offset
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        rep = self._next_replica(query)
-        if with_metadata:
-            parts = ray.get(
-                [
-                    s.query_topk_meta.remote(tree, fetch, True, df_map)
-                    for s in rep
-                ]
-            )
-        else:
-            raw = ray.get(
-                [
-                    s.query_topk.remote(tree, fetch, True, df_map)
-                    for s in rep
-                ]
-            )
-            parts = [{"doc_id": d, "score": s} for d, s in raw]
-        self.last_fanout_rows = int(sum(len(p["doc_id"]) for p in parts))
         meta_cols = list(LocalIndex._META_COLS) if with_metadata else []
         out_cols = ["doc_id", "score", "normalized_score", *meta_cols]
-        docs = np.concatenate([p["doc_id"] for p in parts])
-        if len(docs) == 0:
+        if plan.tree is None:  # the empty query matches nothing
             return pd.DataFrame(columns=out_cols)
-        scores = np.concatenate([p["score"] for p in parts])
-        order = np.lexsort((docs, -scores.astype(np.float64)))[:fetch]
-        docs, scores = docs[order], scores[order]
+        if with_metadata:
+            parts = self._fanout(
+                plan, "query_topk_meta", plan.tree, fetch, True
+            )
+        else:
+            parts = [
+                {"doc_id": d, "score": s}
+                for d, s in self._fanout(
+                    plan, "query_topk", plan.tree, fetch, True
+                )
+            ]
+        hits = self._merge_hits(
+            parts, fetch, ("doc_id", "score", *meta_cols)
+        )
+        scores = hits["score"]
+        if len(scores) <= offset:
+            return pd.DataFrame(columns=out_cols)
         max_s = scores[0] if scores[0] > 0 else self.dtype(1.0)
-        order = order[offset:]
-        docs, scores = docs[offset:], scores[offset:]
-        if len(docs) == 0:
-            return pd.DataFrame(columns=out_cols)
-        norm = scores / max_s
         cols = {
-            "doc_id": docs.astype(np.int64),
-            "score": scores,
-            "normalized_score": norm,
+            "doc_id": hits["doc_id"][offset:].astype(np.int64),
+            "score": scores[offset:],
+            "normalized_score": scores[offset:] / max_s,
         }
         for c in meta_cols:
-            merged = np.concatenate([p[c] for p in parts])[order]
-            cols[c] = merged
+            cols[c] = hits[c][offset:]
         df = pd.DataFrame(cols)
         if threshold is not None:
             df = df[df["normalized_score"] >= threshold].reset_index(
@@ -4197,34 +4104,27 @@ class BM25Engine:
         With replicas the batch splits into contiguous slices, one per
         replica, all in flight at once — in-shard work parallelizes
         across replica sets instead of serializing in one."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
-        df_map = self._df_map_for(queries)
         # one parse per DISTINCT query for the whole batch (cache-warm:
         # zero); shards receive trees and never parse
-        trees = [self._parse_global(q) for q in queries]
+        plan = self._plan(queries)
         R = min(len(self.replicas), max(1, len(queries)))
         bounds = np.linspace(0, len(queries), R + 1).astype(int)
-        slices = []  # (start, queries, [shard refs]) — all async first
-        for r in range(R):
-            qs = trees[bounds[r]:bounds[r + 1]]
-            if not qs:
-                continue
-            slices.append((
-                int(bounds[r]), qs,
-                [
-                    s.query_many.remote(qs, k, True, df_map)
-                    for s in self.replicas[r]
-                ],
-            ))
-        out: list = [None] * len(queries)
-        for start, qs, refs in slices:
-            per_shard = ray.get(refs)
-            for qi in range(len(qs)):
-                out[start + qi] = self._merge_topk(
-                    [ps[qi] for ps in per_shard], k
-                )
-        return out
+        slices = [
+            (self.replicas[r], plan.trees[bounds[r]:bounds[r + 1]])
+            for r in range(R)
+            if bounds[r] < bounds[r + 1]
+        ]
+        per_slice = self._fanout(
+            plan, [("query_many", (qs, k, True), rep) for rep, qs in slices]
+        )
+        return [
+            tuple(self._merge_hits(
+                [ps[qi] for ps in per_shard], k, (0, 1)
+            ).values())
+            for (_, qs), per_shard in zip(slices, per_slice)
+            for qi in range(len(qs))
+        ]
 
     def search_span_near(
         self, terms: list[str], slop: int = 0, in_order: bool = False,
@@ -4239,35 +4139,22 @@ class BM25Engine:
         concatenate of per-shard top-k; traffic O(shards * k)."""
         import pandas as pd
 
-        self._maybe_reload()
         toks = [t for term in terms for t in tokenize_text(term)]
-        rep = self._next_replica(
-            "span:" + " ".join(toks) + f"#{slop}#{in_order}"
+        plan = self._plan(
+            [], "span:" + " ".join(toks) + f"#{slop}#{in_order}"
         )
-        parts = ray.get(
-            [
-                s.query_span_near.remote(
-                    toks, slop, in_order, top_k, with_meta=with_meta
-                )
-                for s in rep
-            ]
+        parts = self._fanout(
+            plan, "query_span_near", toks, slop, in_order, top_k,
+            with_meta=with_meta,
         )
-        docs = np.concatenate([p["doc_id"] for p in parts])
-        wins = np.concatenate([p["min_window"] for p in parts])
-        order = np.lexsort((docs, wins))
-        if top_k is not None:
-            order = order[:top_k]
         self.last_fanout_rows = int(sum(len(p["doc_id"]) for p in parts))
-        cols = {
-            "doc_id": docs[order].astype(np.int64),
-            "min_window": wins[order],
-        }
-        if with_meta:
-            for c in LocalIndex._META_COLS:
-                cols[c] = np.concatenate(
-                    [np.asarray(p[c], dtype=object) for p in parts]
-                )[order]
-        return pd.DataFrame(cols)
+        cols = self._concat(parts, (
+            "doc_id", "min_window",
+            *(LocalIndex._META_COLS if with_meta else ()),
+        ))
+        order = np.lexsort((cols["doc_id"], cols["min_window"]))[:top_k]
+        cols["doc_id"] = cols["doc_id"].astype(np.int64)
+        return pd.DataFrame({c: v[order] for c, v in cols.items()})
 
     def search_facets(
         self, query: str, facet_field: str = "lang"
@@ -4277,18 +4164,11 @@ class BM25Engine:
         Doc-partitioned shards make the merge a plain integer sum (every
         doc is counted by exactly one shard); the facet table that moves
         is O(distinct facet values), never O(matches)."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query)
-        parts = ray.get(
-            [s.query_facets.remote(query, facet_field, df_map) for s in rep]
+        plan = self._plan([query], query)
+        parts = self._fanout(plan, "query_facets", plan.tree, facet_field)
+        return sum(p[0] for p in parts), self._sum_counts(
+            f for _, f in parts
         )
-        total = sum(p[0] for p in parts)
-        facets: dict[str, int] = {}
-        for _, f in parts:
-            for v, c in f.items():
-                facets[v] = facets.get(v, 0) + c
-        return total, facets
 
     def search_significant_terms(
         self, query: str, field: str = "lang", size: int = 10
@@ -4309,42 +4189,40 @@ class BM25Engine:
         bit-for-bit from the same integer counts. Returns ``{"fg_total",
         "bg_total", "buckets": [{"value", "fg_count", "bg_count",
         "score"}, ...]}``."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query + "\x00#significant")
-        parts = ray.get(
-            [
-                s.query_significant.remote(query, field, df_map)
-                for s in rep
-            ]
-        )
+        plan = self._plan([query], query + "\x00#significant")
+        parts = self._fanout(plan, "query_significant", plan.tree, field)
         fg_total = sum(p["fg_total"] for p in parts)
         bg_total = sum(p["bg_total"] for p in parts)
-        fg: dict[str, int] = {}
-        bg: dict[str, int] = {}
-        for p in parts:
-            for v, c in p["fg"].items():
-                fg[v] = fg.get(v, 0) + c
-            for v, c in p["bg"].items():
-                bg[v] = bg.get(v, 0) + c
+        fg = self._sum_counts(p["fg"] for p in parts)
+        bg = self._sum_counts(p["bg"] for p in parts)
+        return self._jlh(fg, bg, fg_total, bg_total, size, "value")
+
+    @staticmethod
+    def _jlh(fg, bg, fg_total, bg_total, size, name, keep=None) -> dict:
+        """ES's JLH significance over merged exact-int counts: each
+        foreground key (``keep(key)`` true) scores ONCE in float64
+        ``(fg% - bg%) * (fg% / bg%)``; positive scores bucket, sorted
+        score desc, key asc, cut to ``size``. A foreground key always
+        exists in the background: matched docs are live docs of the
+        same shards."""
         buckets = []
         if fg_total and bg_total:
             for v in sorted(fg):
-                # a foreground value always exists in the background:
-                # matched docs are live docs of the same shards
+                if keep is not None and not keep(v):
+                    continue
                 fgp = fg[v] / fg_total
                 bgp = bg[v] / bg_total
                 score = (fgp - bgp) * (fgp / bgp)
                 if score > 0:
                     buckets.append(
                         {
-                            "value": v,
+                            name: v,
                             "fg_count": fg[v],
                             "bg_count": bg[v],
                             "score": score,
                         }
                     )
-        buckets.sort(key=lambda r: (-r["score"], r["value"]))
+        buckets.sort(key=lambda r: (-r["score"], r[name]))
         return {
             "fg_total": fg_total,
             "bg_total": bg_total,
@@ -4403,59 +4281,28 @@ class BM25Engine:
         consuming the cap), so no single value dominates the
         foreground; the sample is the first ``sample_size`` accepted
         docs."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        rep = self._next_replica(query + "\x00#sigtext")
+        plan = self._plan([query], query + "\x00#sigtext")
         sample = None
         if sample_size is not None and diversify_field is not None:
             # DIVERSIFIED sampler (ES ``diversified_sampler``) — see
             # _diversified_cut for the walk + closure rule.
             sample, _, _ = self._diversified_cut(
-                tree, df_map, rep, int(sample_size), diversify_field,
+                plan, int(sample_size), diversify_field,
                 max(1, int(max_docs_per_value or 1)),
             )
         elif sample_size is not None:
             # the cut is on ROUNDED scores, so per-shard raw top-k is
-            # not enough: overfetch until every non-exhausted shard's
-            # last fetched row rounds strictly below the global k-th
-            # rounded score (rounding is monotone, so nothing deeper in
-            # that shard can reach the boundary group) — the same
-            # closure rule as the entry-level rounded cut
+            # not enough: overfetch until the closed ranked prefix holds
+            # k rows (or every shard is exhausted) — the same closure
+            # rule as the entry-level rounded cut
             k = int(sample_size)
             fetch = k + 64
             while True:
-                tops = ray.get(
-                    [
-                        s.query_topk.remote(tree, fetch, True, df_map)
-                        for s in rep
-                    ]
-                )
-                docs = np.concatenate([t[0] for t in tops])
-                sc = scoring.round_half_away(
-                    np.concatenate([t[1] for t in tops]).astype(
-                        np.float64
-                    ),
-                    4,
-                )
-                order = np.lexsort((docs, -sc))
-                if len(docs) <= k:
-                    break
-                kth = sc[order[k - 1]]
-                closed = all(
-                    len(t[0]) < fetch
-                    or float(
-                        scoring.round_half_away(
-                            np.float64(t[1][-1]), 4
-                        )
-                    )
-                    < float(kth)
-                    for t in tops
-                )
-                if closed:
+                head, _, done = self._closed_prefix(plan, fetch)
+                if done or len(head) >= k:
                     break
                 fetch *= 4
-            sample = docs[order[:k]]
+            sample = head[:k]
         if sample is not None and source is not None \
                 and not self._needs_df_round:
             # O(sample) sampled collector — see the docstring. fg_total
@@ -4467,11 +4314,8 @@ class BM25Engine:
             fg = {}
             bg = {}
             if len(sample):
-                owned = ray.get(
-                    [s.paths_for_docs.remote(sample) for s in rep]
-                )
                 path_of = {}
-                for ds_, ps_ in owned:
+                for ds_, ps_ in self._fanout(plan, "paths_for_docs", sample):
                     path_of.update(zip(ds_, ps_))
                 paths = [path_of[int(d)] for d in sample]
                 texts = source(paths)
@@ -4497,13 +4341,9 @@ class BM25Engine:
                         vc.field("counts").to_pylist(),
                     )
                 }
-                per = ray.get(
-                    [
-                        s.query_bulk_dfs.remote(sorted(fg), field)
-                        for s in rep
-                    ]
-                )
-                for p in per:
+                for p in self._fanout(
+                    plan, "query_bulk_dfs", sorted(fg), field
+                ):
                     bg.update(p)
                 orphans = [t for t in fg if t not in bg]
                 if orphans:
@@ -4519,51 +4359,25 @@ class BM25Engine:
             fg_total = int(len(sample))
             bg_total = int(self.manifest["num_docs"])
         else:
-            parts = ray.get(
-                [
-                    s.query_significant_text.remote(
-                        tree, field, df_map, sample
-                    )
-                    for s in rep
-                ]
+            parts = self._fanout(
+                plan, "query_significant_text", plan.tree, field,
+                sample_docs=sample,
             )
             fg_total = sum(p["fg_total"] for p in parts)
             bg_total = sum(p["bg_total"] for p in parts)
-            fg = {}
-            bg = {}
-            for p in parts:
-                for t, (f, b) in p["counts"].items():
-                    fg[t] = fg.get(t, 0) + f
-                    bg[t] = bg.get(t, 0) + b
+            fg = self._sum_counts(
+                {t: f for t, (f, _) in p["counts"].items()} for p in parts
+            )
+            bg = self._sum_counts(
+                {t: b for t, (_, b) in p["counts"].items()} for p in parts
+            )
         skip: set[str] = set()
         if exclude_query_terms:
-            if tree is not None:
-                skip = {
-                    t for c in collect_clauses(tree) for t in c.terms
-                }
-        buckets = []
-        if fg_total and bg_total:
-            for t in sorted(fg):
-                if fg[t] < int(min_doc_count) or t in skip:
-                    continue
-                fgp = fg[t] / fg_total
-                bgp = bg[t] / bg_total
-                score = (fgp - bgp) * (fgp / bgp)
-                if score > 0:
-                    buckets.append(
-                        {
-                            "term": t,
-                            "fg_count": fg[t],
-                            "bg_count": bg[t],
-                            "score": score,
-                        }
-                    )
-        buckets.sort(key=lambda r: (-r["score"], r["term"]))
-        return {
-            "fg_total": fg_total,
-            "bg_total": bg_total,
-            "buckets": buckets[: max(0, int(size))],
-        }
+            skip = {t for c in collect_clauses(plan.tree) for t in c.terms}
+        return self._jlh(
+            fg, bg, fg_total, bg_total, size, "term",
+            lambda t: fg[t] >= int(min_doc_count) and t not in skip,
+        )
 
     def search_distance_feature(
         self, query: str, field: str, origin: int, pivot: int,
@@ -4575,34 +4389,15 @@ class BM25Engine:
         size or timestamp) without filtering. Shard-local exact under
         doc partitioning; standard O(shards * k) merge. Returns
         ``{"doc_ids", "scores", "paths"}``."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        rep = self._next_replica(
-            query + f"\x00#distfeat:{field}:{origin}:{pivot}"
+        plan = self._plan(
+            [query], query + f"\x00#distfeat:{field}:{origin}:{pivot}"
         )
-        parts = ray.get(
-            [
-                s.query_distance_feature.remote(
-                    tree, field, int(origin), int(pivot),
-                    float(boost), k, df_map,
-                )
-                for s in rep
-            ]
+        parts = self._fanout(
+            plan, "query_distance_feature", plan.tree, field, int(origin),
+            int(pivot), float(boost), k,
         )
-        self.last_fanout_rows = int(
-            sum(len(p["doc_ids"]) for p in parts)
-        )
-        docs = np.concatenate([p["doc_ids"] for p in parts])
-        scores = np.concatenate([p["scores"] for p in parts])
-        paths = np.concatenate([p["paths"] for p in parts])
-        order = np.lexsort((docs, -scores))[:k]
-        return {
-            "doc_ids": docs[order],
-            "scores": scores[order],
-            "paths": paths[order],
-        }
+        return self._merge_hits(parts, k)
 
     def search_pinned(
         self, query: str, pinned_paths: list[str],
@@ -4617,16 +4412,14 @@ class BM25Engine:
         rows carry their organic score when they match and NaN when
         they're pure promotions. Returns ``{"paths", "doc_ids",
         "scores", "pinned"}`` aligned arrays."""
-        self._maybe_reload()
         k = top_k if top_k is not None else 100
+        plan = self._plan([query], query)
         pins = list(dict.fromkeys(pinned_paths))  # dedupe, keep order
         found: dict[str, int] = {}
-        for part in ray.get(
-            [s.lookup_paths.remote(pins) for s in self.shards]
-        ):
+        for part in self._fanout(plan, "lookup_paths", pins):
             found.update(part)
         pins = [p for p in pins if p in found][:k]
-        df = self.search(query, top_k=k + len(pins), with_metadata=True)
+        df = self._search_frame(plan, k + len(pins))
         by_path = {
             p: (int(d), float(sc))
             for p, d, sc in zip(df["path"], df["doc_id"], df["score"])
@@ -4638,17 +4431,8 @@ class BM25Engine:
         deep = [p for p in pins if p not in by_path]
         if deep:
             ids = np.asarray([found[p] for p in deep], dtype=np.uint64)
-            probe_df_map = self._df_map_for([query])
             probed = np.sum(
-                ray.get(
-                    [
-                        s.query_scores_at.remote(
-                            self._parse_global(query), ids,
-                            probe_df_map,
-                        )
-                        for s in self.shards
-                    ]
-                ),
+                self._fanout(plan, "query_scores_at", plan.tree, ids),
                 axis=0,
             )
             for p, sc in zip(deep, probed):
@@ -4656,25 +4440,18 @@ class BM25Engine:
                     found[p],
                     float(sc) if sc > 0 else float("nan"),
                 )
-        paths, doc_ids, scores, flags = [], [], [], []
-        for p in pins:
-            paths.append(p)
-            doc_ids.append(found[p])
-            scores.append(by_path.get(p, (0, float("nan")))[1])
-            flags.append(True)
         pinset = set(pins)
         organic = [p for p in df["path"] if p not in pinset]
-        for p in organic[: max(0, k - len(pins))]:
-            d, sc = by_path[p]
-            paths.append(p)
-            doc_ids.append(d)
-            scores.append(sc)
-            flags.append(False)
+        rows = pins + organic[: max(0, k - len(pins))]
+        hits = [
+            (found[p], by_path[p][1]) if p in pinset else by_path[p]
+            for p in rows
+        ]
         return {
-            "paths": np.asarray(paths, dtype=object),
-            "doc_ids": np.asarray(doc_ids, dtype=np.uint64),
-            "scores": np.asarray(scores, dtype=np.float64),
-            "pinned": np.asarray(flags, dtype=bool),
+            "paths": np.asarray(rows, dtype=object),
+            "doc_ids": np.asarray([d for d, _ in hits], dtype=np.uint64),
+            "scores": np.asarray([sc for _, sc in hits], dtype=np.float64),
+            "pinned": np.arange(len(rows)) < len(pins),
         }
 
     def search_span_first(
@@ -4685,9 +4462,6 @@ class BM25Engine:
         position ``end``. Const-score membership (doc_id order), doc-
         partitioned so the merge is concatenation. Returns
         ``{"doc_ids", "paths"}`` sorted by doc_id."""
-        from .tokenizer import tokenize_text
-
-        self._maybe_reload()
         toks = tokenize_text(term)
         if not toks:
             return {
@@ -4699,17 +4473,10 @@ class BM25Engine:
                 f"span_first takes ONE term; {term!r} tokenizes to "
                 f"{toks} (wrap phrases in span_near instead)"
             )
-        rep = self._next_replica(f"#spanfirst:{toks[0]}:{end}")
-        parts = ray.get(
-            [
-                s.query_span_first.remote(toks[0], int(end), field)
-                for s in rep
-            ]
-        )
-        docs = np.concatenate([p["doc_ids"] for p in parts])
-        paths = np.concatenate([p["path"] for p in parts])
-        order = np.argsort(docs)
-        return {"doc_ids": docs[order], "paths": paths[order]}
+        plan = self._plan([], f"#spanfirst:{toks[0]}:{end}")
+        return self._by_doc(self._fanout(
+            plan, "query_span_first", toks[0], int(end), field
+        ))
 
     def search_span_not(
         self, include: str, exclude: str, pre: int = 0, post: int = 0,
@@ -4722,9 +4489,6 @@ class BM25Engine:
         Const-score membership like span_first; doc-partitioned, so
         the merge is concatenation. Both terms are analyzer-normalized
         single tokens. Returns ``{"doc_ids", "paths"}`` (doc_id asc)."""
-        from .tokenizer import tokenize_text
-
-        self._maybe_reload()
         toks_i = tokenize_text(include)
         toks_e = tokenize_text(exclude)
         if len(toks_i) != 1 or len(toks_e) != 1:
@@ -4732,21 +4496,19 @@ class BM25Engine:
                 "span_not takes ONE include and ONE exclude term; got "
                 f"{toks_i} / {toks_e}"
             )
-        rep = self._next_replica(
-            f"#spannot:{toks_i[0]}:{toks_e[0]}:{pre}:{post}"
+        plan = self._plan(
+            [], f"#spannot:{toks_i[0]}:{toks_e[0]}:{pre}:{post}"
         )
-        parts = ray.get(
-            [
-                s.query_span_not.remote(
-                    toks_i[0], toks_e[0], int(pre), int(post), field
-                )
-                for s in rep
-            ]
-        )
-        docs = np.concatenate([p["doc_ids"] for p in parts])
-        paths = np.concatenate([p["path"] for p in parts])
-        order = np.argsort(docs)
-        return {"doc_ids": docs[order], "paths": paths[order]}
+        return self._by_doc(self._fanout(
+            plan, "query_span_not", toks_i[0], toks_e[0], int(pre),
+            int(post), field,
+        ))
+
+    def _by_doc(self, parts: list[dict]) -> dict:
+        """The const-score membership merge: concatenate, doc_id asc."""
+        c = self._concat(parts, ("doc_ids", "path"))
+        order = np.argsort(c["doc_ids"])
+        return {"doc_ids": c["doc_ids"][order], "paths": c["path"][order]}
 
     def search_matrix_stats(
         self, query: str, fields: tuple = ("n_bytes", "dl_content")
@@ -4765,24 +4527,8 @@ class BM25Engine:
         (HUGEINT sums, the same expression) reproduces the doubles.
         Returns ``{"count", "cells": [{"field_a", "field_b",
         "covariance", "correlation"}, ...]}`` (field-name order)."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        rep = self._next_replica(query + "\x00#matrix")
-        parts = ray.get(
-            [
-                s.query_matrix_stats.remote(tree, tuple(fields), df_map)
-                for s in rep
-            ]
-        )
-        n = sum(p["n"] for p in parts)
-        s = {
-            f: sum(p["s"][f] for p in parts) for f in fields
-        }
-        sp = {
-            k: sum(p["sp"][k] for p in parts)
-            for k in parts[0]["sp"]
-        } if parts else {}
+        m = self._moments(query, fields, "#matrix")
+        n, s, sp = m["n"], m["s"], m["sp"]
         cells = []
         if n >= 2:
             def _cov(a, b):
@@ -4808,19 +4554,17 @@ class BM25Engine:
                     )
         return {"count": n, "cells": cells}
 
-    def _moments(self, query, fields: tuple) -> dict:
+    def _moments(self, query: str, fields: tuple, tag: str) -> dict:
         """Merged exact integer moment sums of ``query``'s match set
         over ``fields`` (the matrix_stats shard contract, reused by
-        weighted_avg and t_test)."""
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        rep = self._next_replica(str(query) + "\x00#moments")
-        parts = ray.get(
-            [
-                s.query_matrix_stats.remote(tree, tuple(fields), df_map)
-                for s in rep
-            ]
-        )
+        weighted_avg)."""
+        plan = self._plan([query], f"{query}\x00{tag}")
+        return self._sum_moments(self._fanout(
+            plan, "query_matrix_stats", plan.tree, tuple(fields)
+        ), fields)
+
+    @staticmethod
+    def _sum_moments(parts: list[dict], fields: tuple) -> dict:
         return {
             "n": sum(p["n"] for p in parts),
             "s": {
@@ -4842,7 +4586,7 @@ class BM25Engine:
         arbitrary-precision integers merged across doc-partitioned
         shards, the one divide in float64 driver-side. Returns
         ``{"count", "weighted_avg", "weight_total"}``."""
-        m = self._moments(query, (value_field, weight_field))
+        m = self._moments(query, (value_field, weight_field), "#moments")
         key = f"{value_field}|{weight_field}"
         sw = m["s"][weight_field]
         return {
@@ -4866,31 +4610,33 @@ class BM25Engine:
         (sample variances, n-1) is computed once in float64 in that
         operation order, so a SQL oracle reproduces the double from the
         same HUGEINT sums. Returns ``{"n_a", "n_b", "mean_a", "mean_b",
-        "t"}``."""
-        out = {}
-        for tag, q in (("a", query_a), ("b", query_b)):
-            m = self._moments(q, (field,))
+        "t"}``; ``t`` is NaN when a side has fewer than 2 matches."""
+        plan = self._plan(
+            [query_a, query_b], f"{query_a}\x00{query_b}\x00#ttest"
+        )
+        sides = self._fanout(plan, [
+            ("query_matrix_stats", (tree, (field,))) for tree in plan.trees
+        ])
+        out, se2 = {}, []
+        for tag, parts in zip("ab", sides):
+            m = self._sum_moments(parts, (field,))
             n = m["n"]
             sx = m["s"][field]
             sxx = m["sp"][f"{field}|{field}"]
             out[f"n_{tag}"] = n
             out[f"mean_{tag}"] = float(sx) / n if n else float("nan")
-            out[f"var_{tag}"] = (
+            var = (
                 (float(sxx) - float(sx * sx) / n) / (n - 1)
                 if n >= 2
                 else float("nan")
             )
-        denom = float(
-            np.sqrt(
-                out["var_a"] / out["n_a"] + out["var_b"] / out["n_b"]
-            )
-        )
+            se2.append(var / n if n else float("nan"))
+        denom = float(np.sqrt(se2[0] + se2[1]))
         out["t"] = (
             (out["mean_a"] - out["mean_b"]) / denom
             if denom > 0
             else float("nan")
         )
-        del out["var_a"], out["var_b"]
         return out
 
     def search_mad(
@@ -4907,19 +4653,7 @@ class BM25Engine:
         ``median()`` interpolates even counts, so the rule is pinned
         instead of borrowed). Returns ``{"count", "median", "mad"}``
         (integers)."""
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        rep = self._next_replica(query + f"\x00#mad:{field}")
-        parts = ray.get(
-            [
-                s.query_value_counts.remote(tree, field, df_map)
-                for s in rep
-            ]
-        )
-        counts: dict[int, int] = {}
-        for p in parts:
-            for v, c in p.items():
-                counts[v] = counts.get(v, 0) + c
+        counts = self._value_counts(query, field, "mad")
         n = sum(counts.values())
         if n == 0:
             return {"count": 0, "median": None, "mad": None}
@@ -4956,19 +4690,7 @@ class BM25Engine:
         a fixed order the SQL oracle replicates:
         ``100.0 * count_le / n``. Returns ``{"count", "ranks":
         {value: pct}}``."""
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        rep = self._next_replica(query + f"\x00#pctrank:{field}")
-        parts = ray.get(
-            [
-                s.query_value_counts.remote(tree, field, df_map)
-                for s in rep
-            ]
-        )
-        counts: dict[int, int] = {}
-        for p in parts:
-            for v, c in p.items():
-                counts[v] = counts.get(v, 0) + c
+        counts = self._value_counts(query, field, "pctrank")
         n = sum(counts.values())
         ranks: dict[int, float] = {}
         if n:
@@ -4979,6 +4701,14 @@ class BM25Engine:
                 le = int(cum[i - 1]) if i else 0
                 ranks[int(v)] = (100.0 * le) / n
         return {"count": n, "ranks": ranks}
+
+    def _value_counts(self, query: str, field: str, tag: str) -> dict:
+        """The merged exact value -> match count map of ``field`` over
+        ``query``'s match set (behind mad and percentile_ranks)."""
+        plan = self._plan([query], query + f"\x00#{tag}:{field}")
+        return self._sum_counts(
+            self._fanout(plan, "query_value_counts", plan.tree, field)
+        )
 
     def search_rare_terms(
         self, max_doc_count: int, size: int = 10, field: str = "content"
@@ -4997,24 +4727,17 @@ class BM25Engine:
         local count above the cap implies global above the cap), then
         ONE exact global live-df round over the candidate union
         re-filters. Traffic is O(rare terms) either way."""
-        self._maybe_reload()
+        plan = self._plan([], f"#rare:{field}:{max_doc_count}")
         exact = not self._needs_df_round
-        parts = ray.get(
-            [
-                s.query_rare_terms.remote(
-                    int(max_doc_count), field, exact
-                )
-                for s in self.shards
-            ]
+        parts = self._fanout(
+            plan, "query_rare_terms", int(max_doc_count), field, exact
         )
         if exact:
-            merged: dict[str, int] = {}
-            for p in parts:
-                merged.update(p)
+            merged = {t: d for p in parts for t, d in p.items()}
         else:
             union = sorted({t for p in parts for t in p})
             fid = FIELD_IDS[field]
-            dfs = self._global_dfs([(fid, t) for t in union])
+            dfs = self._global_dfs([(fid, t) for t in union], plan)
             merged = {
                 t: int(dfs[(fid, t)])
                 for t in union
@@ -5025,18 +4748,6 @@ class BM25Engine:
             {"term": t, "df": d}
             for t, d in ranked[: max(0, int(size))]
         ]
-
-    def _global_cfs(self, keys: list[tuple[int, str]]) -> dict:
-        """Exact LIVE global collection frequency per key (one int-only
-        fan-out; postings are doc-partitioned so the sum is exact)."""
-        keys = list(keys)
-        parts = ray.get(
-            [s.local_cfs.remote(keys) for s in self.shards]
-        )
-        totals = np.sum(np.asarray(parts, dtype=np.int64), axis=0)
-        return {
-            tuple(k): int(c) for k, c in zip(keys, totals)
-        }
 
     def search_phrase_suggest(
         self, text: str, size: int = 5, max_edits: int = 1,
@@ -5067,9 +4778,6 @@ class BM25Engine:
         Returns [{"phrase", "score"}] (score desc, phrase asc)."""
         import itertools
 
-        from .tokenizer import tokenize_text
-
-        self._maybe_reload()
         toks = tokenize_text(text)
         if not toks:
             return []
@@ -5083,11 +4791,10 @@ class BM25Engine:
                 f"{len(toks)}"
             )
         fid = FIELD_IDS[field]
+        plan = self._plan([], f"#phrase:{field}:{' '.join(toks)}")
         # one fuzzy-expansion round for every input token
         specs = [(field, t, int(max_edits), False) for t in toks]
-        per = ray.get(
-            [s.expand_fuzzies.remote(specs) for s in self.shards]
-        )
+        per = self._fanout(plan, "expand_fuzzies", specs)
         cand_union = [
             sorted({t for sh in per for t in sh[i]})
             for i in range(len(toks))
@@ -5096,7 +4803,9 @@ class BM25Engine:
         all_terms = sorted({t for c in cand_union for t in c})
         if not all_terms:
             return []
-        cfs = self._global_cfs([(fid, t) for t in all_terms])
+        cfs = self._sum_aligned(
+            plan, "local_cfs", [(fid, t) for t in all_terms]
+        )
         cands = []
         for c in cand_union:
             ranked = sorted(
@@ -5106,14 +4815,7 @@ class BM25Engine:
             if not ranked:
                 return []  # a token with no viable candidates
             cands.append(ranked)
-        T = sum(
-            ray.get(
-                [
-                    s.local_token_total.remote(field)
-                    for s in self.shards
-                ]
-            )
-        )
+        T = sum(self._fanout(plan, "local_token_total", field))
         if T <= 0:
             return []
         # one bigram round over only the adjacent candidate pairs
@@ -5125,16 +4827,9 @@ class BM25Engine:
                 for b in cands[i + 1]
             }
         )
-        big: dict[tuple[str, str], int] = {}
-        if pairs:
-            parts = ray.get(
-                [
-                    s.local_bigram_counts.remote(pairs, field)
-                    for s in self.shards
-                ]
-            )
-            totals = np.sum(np.asarray(parts, dtype=np.int64), axis=0)
-            big = {p: int(c) for p, c in zip(pairs, totals)}
+        big = self._sum_aligned(
+            plan, "local_bigram_counts", pairs, field
+        ) if pairs else {}
         out = []
         for chain in itertools.product(*cands):
             cf1 = cfs[(fid, chain[0])]
@@ -5162,36 +4857,22 @@ class BM25Engine:
         O(matched docs) rows merge at the driver (doc-partitioned, so
         plain concatenation — no doc spans shards). Returns
         ``{"doc_ids", "starts", "scores"}`` sorted by doc_id."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        rep = self._next_replica(
-            query + f"\x00#passage:{window}:{num_fragments}"
+        plan = self._plan(
+            [query], query + f"\x00#passage:{window}:{num_fragments}"
         )
-        parts = ray.get(
-            [
-                s.query_best_passage.remote(
-                    tree, int(window), df_map, int(num_fragments)
-                )
-                for s in rep
-            ]
+        parts = self._fanout(
+            plan, "query_best_passage", plan.tree, int(window),
+            num_fragments=int(num_fragments),
         )
         self.last_fanout_rows = int(
             sum(len(p["doc_ids"]) for p in parts)
         )
-        docs = np.concatenate([p["doc_ids"] for p in parts])
-        starts = np.concatenate([p["starts"] for p in parts])
-        scores = np.concatenate([p["scores"] for p in parts])
-        frags = np.concatenate([p["frags"] for p in parts])
-        paths = np.concatenate([p["path"] for p in parts])
-        order = np.lexsort((frags, docs))
-        return {
-            "doc_ids": docs[order],
-            "starts": starts[order],
-            "scores": scores[order],
-            "frags": frags[order],
-            "paths": paths[order],
-        }
+        out = self._concat(
+            parts, ("doc_ids", "starts", "scores", "frags", "path")
+        )
+        out["paths"] = out.pop("path")
+        order = np.lexsort((out["frags"], out["doc_ids"]))
+        return {c: v[order] for c, v in out.items()}
 
     def search_aggregate(self, query: str, spec: dict) -> dict:
         """Tantivy-style aggregation over the whole index's match set
@@ -5202,13 +4883,10 @@ class BM25Engine:
         derived once at the end, cardinality unions the shards'
         distinct-value sets (bounded by field cardinality, never by
         matches)."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query)
-        parts = ray.get(
-            [s.query_aggregate.remote(query, spec, df_map) for s in rep]
+        plan = self._plan([query], query)
+        return self._merge_agg(
+            spec, self._fanout(plan, "query_aggregate", plan.tree, spec)
         )
-        return self._merge_agg(spec, parts)
 
     def search_filters_agg(self, filters: dict, spec: dict) -> dict:
         """FILTERS bucket aggregation (ES ``filters``): N named filter
@@ -5216,15 +4894,11 @@ class BM25Engine:
         in ONE fan-out — the dual of ``search_aggregate_multi`` (N specs
         over one query there; one spec over N queries here). Returns
         ``{name: merged aggregation}``."""
-        self._maybe_reload()
         names = list(filters)
-        df_map = self._df_map_for([filters[n] for n in names])
-        rep = self._next_replica("\x00".join(filters[n] for n in names))
-        parts = ray.get(
-            [
-                s.query_filters_agg.remote(dict(filters), spec, df_map)
-                for s in rep
-            ]
+        qs = [filters[n] for n in names]
+        plan = self._plan(qs, "\x00".join(qs))
+        parts = self._fanout(
+            plan, "query_filters_agg", dict(zip(names, plan.trees)), spec
         )
         return {
             name: self._merge_agg(spec, [p[name] for p in parts])
@@ -5239,21 +4913,13 @@ class BM25Engine:
         O(N^2) integers and the driver sums them (doc partitioning
         makes intersections shard-local and the merge associative).
         Empty buckets are omitted, matching ES."""
-        self._maybe_reload()
-        df_map = self._df_map_for(list(filters.values()))
-        rep = self._next_replica(
-            "\x00".join(sorted(filters.values())) + "#adjacency"
+        plan = self._plan(
+            list(filters.values()),
+            "\x00".join(sorted(filters.values())) + "#adjacency",
         )
-        parts = ray.get(
-            [
-                s.query_adjacency.remote(dict(filters), df_map)
-                for s in rep
-            ]
-        )
-        total: dict[str, int] = {}
-        for p in parts:
-            for k, c in p.items():
-                total[k] = total.get(k, 0) + c
+        total = self._sum_counts(self._fanout(
+            plan, "query_adjacency", dict(zip(filters, plan.trees))
+        ))
         return {k: v for k, v in total.items() if v > 0}
 
     def search_aggregate_multi(self, query: str, specs: dict) -> dict:
@@ -5261,15 +4927,8 @@ class BM25Engine:
         every shard evaluates the match set once and reduces it under
         each spec, so the driver pays one fan-out and the shards one
         TAAT evaluation regardless of how many aggregations ride it."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query)
-        parts = ray.get(
-            [
-                s.query_aggregate_multi.remote(query, specs, df_map)
-                for s in rep
-            ]
-        )
+        plan = self._plan([query], query)
+        parts = self._fanout(plan, "query_aggregate_multi", plan.tree, specs)
         return {
             name: self._merge_agg(spec, [p[name] for p in parts])
             for name, spec in specs.items()
@@ -5284,29 +4943,25 @@ class BM25Engine:
                 "cardinality": len(vals),
                 "values": vals,
             }
-        if kind == "stats":
-            count = sum(p["count"] for p in parts)
-            mins = [p["min"] for p in parts if p["min"] is not None]
-            maxs = [p["max"] for p in parts if p["max"] is not None]
-            total = sum(p["sum"] for p in parts)
-            return {
-                "count": count,
-                "min": min(mins) if mins else None,
-                "max": max(maxs) if maxs else None,
-                "sum": total,
-                # exact-int operands -> one IEEE divide, SQL-replicable
-                "avg": (float(total) / float(count)) if count else None,
-            }
-        if kind == "extended_stats":
+        if kind in ("stats", "extended_stats"):
             import math
 
             count = sum(p["count"] for p in parts)
             mins = [p["min"] for p in parts if p["min"] is not None]
             maxs = [p["max"] for p in parts if p["max"] is not None]
             total = sum(p["sum"] for p in parts)
+            out = {
+                "count": count,
+                "min": min(mins) if mins else None,
+                "max": max(maxs) if maxs else None,
+                "sum": total,
+            }
+            # exact-int operands -> one IEEE divide, SQL-replicable
+            avg = (float(total) / float(count)) if count else None
+            if kind == "stats":
+                return {**out, "avg": avg}
             ssq = sum(p["sum_sq"] for p in parts)
             if count:
-                avg = float(total) / float(count)
                 # population variance from exact integer moments:
                 # n*ssq - sum^2 >= 0 by Cauchy-Schwarz, so the single
                 # float divide can never produce a negative variance
@@ -5319,30 +4974,18 @@ class BM25Engine:
                 )
                 std = math.sqrt(var)
             else:
-                avg = var = std = None
+                var = std = None
             return {
-                "count": count,
-                "min": min(mins) if mins else None,
-                "max": max(maxs) if maxs else None,
-                "sum": total,
-                "sum_sq": ssq,
-                "avg": avg,
-                "variance": var,
+                **out, "sum_sq": ssq, "avg": avg, "variance": var,
                 "std_deviation": std,
             }
         if kind == "histogram":
-            buckets: dict[int, int] = {}
-            for p in parts:
-                for kk, cc in p["buckets"].items():
-                    buckets[kk] = buckets.get(kk, 0) + cc
+            buckets = self._sum_counts(p["buckets"] for p in parts)
             return {"buckets": dict(sorted(buckets.items()))}
         if kind == "percentiles":
             import math
 
-            vc: dict[int, int] = {}
-            for p in parts:
-                for kk, cc in p["value_counts"].items():
-                    vc[kk] = vc.get(kk, 0) + cc
+            vc = self._sum_counts(p["value_counts"] for p in parts)
             n = sum(vc.values())
             qs = [float(q) for q in spec.get("qs", (0.25, 0.5, 0.75, 0.99))]
             out: dict[float, int | None] = {}
@@ -5359,11 +5002,7 @@ class BM25Engine:
                 out = {q: None for q in qs}
             return {"count": n, "percentiles": out}
         if kind == "range":
-            ranges: dict[str, int] = {}
-            for p in parts:
-                for lab, cc in p["ranges"].items():
-                    ranges[lab] = ranges.get(lab, 0) + cc
-            return {"ranges": ranges}
+            return {"ranges": self._sum_counts(p["ranges"] for p in parts)}
         raise ValueError(f"unknown aggregation kind: {kind!r}")
 
     def search_sort_by_field(
@@ -5375,29 +5014,51 @@ class BM25Engine:
         returns its local top-k by exact-int (value, doc_id asc) order,
         the driver merges <= shards * k rows under the same total order.
         Returns ``{"values", "doc_ids", "paths"}`` arrays."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query)
-        parts = ray.get(
-            [
-                s.query_topk_by_field.remote(
-                    query, field, top_k, ascending, df_map
-                )
-                for s in rep
-            ]
+        return self._sort_by_field(
+            self._plan([query], query), field, top_k, ascending
         )
-        vals = np.concatenate([p["values"] for p in parts])
-        docs = np.concatenate([p["doc_ids"] for p in parts])
-        paths = np.concatenate([p["paths"] for p in parts])
-        order = np.lexsort((docs, vals if ascending else -vals))[:top_k]
-        return {
-            "values": vals[order],
-            "doc_ids": docs[order],
-            "paths": paths[order],
-        }
+
+    def _sort_by_field(
+        self, plan: _Plan, field: str, top_k: int, ascending: bool
+    ) -> dict:
+        parts = self._fanout(
+            plan, "query_topk_by_field", plan.tree, field, top_k, ascending
+        )
+        out = self._concat(parts, ("values", "doc_ids", "paths"))
+        vals = out["values"]
+        order = np.lexsort(
+            (out["doc_ids"], vals if ascending else -vals)
+        )[:top_k]
+        return {c: v[order] for c, v in out.items()}
+
+    def _closed_prefix(self, plan: _Plan, fetch: int):
+        """One ranked round of ``plan.tree`` (top ``fetch`` per shard)
+        merged under the shared rounded-score order: 4dp-rounded score
+        desc, doc_id asc. Only the prefix strictly ABOVE every
+        non-exhausted shard's last rounded score is complete (rounding
+        is monotone, so nothing deeper in such a shard can reach it).
+        Returns ``(prefix doc ids, their rounded scores, every shard
+        exhausted)``; callers refetch deeper until the prefix holds
+        what they need."""
+        tops = self._fanout(plan, "query_topk", plan.tree, fetch, True)
+        docs = np.concatenate([t[0] for t in tops])
+        sc = scoring.round_half_away(
+            np.concatenate([t[1] for t in tops]).astype(np.float64), 4
+        )
+        order = np.lexsort((docs, -sc))
+        docs, sc = docs[order], sc[order]
+        open_last = [
+            float(scoring.round_half_away(np.float64(t[1][-1]), 4))
+            for t in tops
+            if len(t[0]) >= fetch
+        ]
+        if open_last:
+            n = int(np.searchsorted(-sc, -max(open_last), side="left"))
+            docs, sc = docs[:n], sc[:n]
+        return docs, sc, not open_last
 
     def _diversified_cut(
-        self, tree, df_map, rep, k: int, field: str, cap: int
+        self, plan: _Plan, k: int, field: str, cap: int
     ) -> tuple[np.ndarray, np.ndarray, dict]:
         """Walk the rounded-cut ranked stream in order, SKIP docs whose
         ``field`` value already has ``cap`` accepted docs (skipped docs
@@ -5413,57 +5074,21 @@ class BM25Engine:
         (cap = 1)."""
         fetch = 4 * k + 64
         while True:
-            tops = ray.get(
-                [
-                    s.query_topk.remote(tree, fetch, True, df_map)
-                    for s in rep
-                ]
-            )
-            docs = np.concatenate([t[0] for t in tops])
-            sc = scoring.round_half_away(
-                np.concatenate([t[1] for t in tops]).astype(
-                    np.float64
-                ),
-                4,
-            )
-            order = np.lexsort((docs, -sc))
-            docs_r, sc_r = docs[order], sc[order]
-            exhausted = [len(t[0]) < fetch for t in tops]
-            if all(exhausted):
-                closed_n = len(docs_r)
-            else:
-                bound = max(
-                    float(
-                        scoring.round_half_away(
-                            np.float64(t[1][-1]), 4
-                        )
-                    )
-                    for t, ex in zip(tops, exhausted)
-                    if not ex
+            head, sc, done = self._closed_prefix(plan, fetch)
+            # gather the stored path alongside the diversify value so
+            # callers that surface hits (collapse) need no second fan-out
+            vals = {
+                d: v
+                for p in self._fanout(
+                    plan, "metrics_for_docs", head,
+                    list(dict.fromkeys([field, "path"])),
                 )
-                closed_n = int(
-                    np.searchsorted(-sc_r, -bound, side="left")
-                )
-            head = docs_r[:closed_n]
-            vals: dict[int, dict] = {}
-            if len(head):
-                # gather the stored path alongside the diversify value
-                # so callers that surface hits (collapse) need no
-                # second fan-out
-                per = ray.get(
-                    [
-                        s.metrics_for_docs.remote(
-                            head, list(dict.fromkeys([field, "path"]))
-                        )
-                        for s in rep
-                    ]
-                )
-                for p in per:
-                    vals.update(p)
+                for d, v in p.items()
+            } if len(head) else {}
             seen: dict = {}
             accepted: list[int] = []
             acc_sc: list[float] = []
-            for d, s_ in zip(head, sc_r[:closed_n]):
+            for d, s_ in zip(head, sc):
                 v = vals[int(d)][field]
                 c = seen.get(v, 0)
                 if c < cap:
@@ -5472,7 +5097,7 @@ class BM25Engine:
                     acc_sc.append(float(s_))
                 if len(accepted) == k:
                     break
-            if len(accepted) == k or all(exhausted):
+            if len(accepted) == k or done:
                 return (
                     np.asarray(accepted, dtype=np.uint64),
                     np.asarray(acc_sc, dtype=np.float64),
@@ -5491,13 +5116,8 @@ class BM25Engine:
         same prefix-closure rule makes the cut exact under the shared
         rounded-score ranking. Returns ``[{"doc_id", "path", "score",
         field}, ...]`` in rank order."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        tree = self._parse_global(query)
-        rep = self._next_replica(query + "\x00#collapse:" + field)
-        docs, sc, vals = self._diversified_cut(
-            tree, df_map, rep, int(k), field, 1
-        )
+        plan = self._plan([query], query + "\x00#collapse:" + field)
+        docs, sc, vals = self._diversified_cut(plan, int(k), field, 1)
         return [
             {
                 "doc_id": int(d),
@@ -5559,19 +5179,13 @@ class BM25Engine:
         ``[{"doc_id", "sort_value", <metric>: ...}, ...]`` in rank
         order — every value an exact int, so the SQL oracle is a plain
         ORDER BY ... LIMIT join."""
-        res = self.search_sort_by_field(
-            query, sort_field, top_k=k, ascending=ascending
-        )
+        plan = self._plan([query], query)
+        res = self._sort_by_field(plan, sort_field, k, ascending)
         docs = res["doc_ids"]
-        rep = self._next_replica(query + "\x00#topmetrics")
-        parts = ray.get(
-            [
-                s.metrics_for_docs.remote(docs, list(metric_fields))
-                for s in rep
-            ]
-        )
         met: dict[int, dict] = {}
-        for p in parts:
+        for p in self._fanout(
+            plan, "metrics_for_docs", docs, list(metric_fields)
+        ):
             met.update(p)
         return [
             {
@@ -5598,19 +5212,11 @@ class BM25Engine:
         oracle reproduces both doubles to the shared 4dp rounding."""
         import math
 
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query + "\x00#strstats")
-        parts = ray.get(
-            [
-                s.query_significant.remote(query, field, df_map)
-                for s in rep
-            ]
+        plan = self._plan([query], query + "\x00#strstats")
+        fg = self._sum_counts(
+            p["fg"]
+            for p in self._fanout(plan, "query_significant", plan.tree, field)
         )
-        fg: dict[str, int] = {}
-        for p in parts:
-            for v, c in p["fg"].items():
-                fg[v] = fg.get(v, 0) + c
         count = sum(fg.values())
         if not count:
             return {
@@ -5644,32 +5250,19 @@ class BM25Engine:
         associative (sum count/sum, min min, max max) with avg derived
         once — no float drift. Returns
         ``{facet: {count, min, max, sum, avg}}``."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query)
-        parts = ray.get(
-            [
-                s.query_facet_stats.remote(
-                    query, facet_field, value_field, df_map
-                )
-                for s in rep
-            ]
+        plan = self._plan([query], query)
+        parts = self._fanout(
+            plan, "query_facet_stats", plan.tree, facet_field, value_field
         )
-        acc: dict[str, list] = {}
+        per: dict[str, list] = {}
         for p in parts:
             for v, (c, mn, mx, sm) in p.items():
-                if v in acc:
-                    a = acc[v]
-                    acc[v] = [a[0] + c, min(a[1], mn), max(a[2], mx),
-                              a[3] + sm]
-                else:
-                    acc[v] = [c, mn, mx, sm]
+                per.setdefault(v, []).append(
+                    {"count": c, "min": mn, "max": mx, "sum": sm}
+                )
         return {
-            v: {
-                "count": c, "min": mn, "max": mx, "sum": sm,
-                "avg": float(sm) / float(c),
-            }
-            for v, (c, mn, mx, sm) in acc.items()
+            v: self._merge_agg({"kind": "stats"}, ps)
+            for v, ps in per.items()
         }
 
     def search_top_hits(
@@ -5682,14 +5275,9 @@ class BM25Engine:
         ``{facet: (doc_ids, scores, paths)}`` sorted (score desc,
         doc_id asc) within each bucket; ``paths`` is the stored ``path``
         metadata per hit."""
-        self._maybe_reload()
-        df_map = self._df_map_for([query])
-        rep = self._next_replica(query)
-        parts = ray.get(
-            [
-                s.query_bucket_topk.remote(query, facet_field, top_k, df_map)
-                for s in rep
-            ]
+        plan = self._plan([query], query)
+        parts = self._fanout(
+            plan, "query_bucket_topk", plan.tree, facet_field, top_k
         )
         merged: dict[str, list] = {}
         for p in parts:
@@ -5697,9 +5285,7 @@ class BM25Engine:
                 merged.setdefault(v, []).append(chunk)
         out = {}
         for v, chunks in merged.items():
-            d = np.concatenate([c[0] for c in chunks])
-            s = np.concatenate([c[1] for c in chunks])
-            pth = np.concatenate([c[2] for c in chunks])
+            d, s, pth = self._concat(chunks, (0, 1, 2)).values()
             order = np.lexsort((d, -s.astype(np.float64)))[:top_k]
             out[v] = (d[order], s[order], pth[order])
         return out
@@ -5719,6 +5305,15 @@ class BM25Engine:
         tiebreak, and return the top ``max_query_terms``. dfs come from
         the shards' exact live counts (one int-only fan-out), so
         selection respects deletions/epochs like scoring does."""
+        return self._like_terms(
+            self._plan([], f"#mlt:{text}"), text, max_query_terms,
+            min_term_freq, min_doc_freq,
+        )
+
+    def _like_terms(
+        self, plan: _Plan, text: str, max_query_terms: int,
+        min_term_freq: int, min_doc_freq: int,
+    ) -> list[str]:
         toks = tokenize_text(text)
         tf: dict[str, int] = {}
         for t in toks:
@@ -5727,7 +5322,7 @@ class BM25Engine:
         if not cand:
             return []
         fid = FIELD_IDS["content"]
-        dfs = self._global_dfs([(fid, t) for t in cand])
+        dfs = self._global_dfs([(fid, t) for t in cand], plan)
         n_docs = self.manifest["num_docs"]
         scored = [
             (float(tf[t]) * float(scoring.idf(df, n_docs, np.float64)), t)
@@ -5751,18 +5346,14 @@ class BM25Engine:
         terms — so scoring, pruning, sharding and metadata behave exactly
         like ``search`` (the rewrite is transparent: the query string IS
         the selected terms)."""
-        terms = self.select_like_terms(
-            text, max_query_terms, min_term_freq, min_doc_freq
+        plan = self._plan([], f"#mlt:{text}")
+        terms = self._like_terms(
+            plan, text, max_query_terms, min_term_freq, min_doc_freq
         )
-        if not terms:
-            import pandas as pd
-
-            meta = list(LocalIndex._META_COLS) if with_metadata else []
-            return pd.DataFrame(
-                columns=["doc_id", "score", "normalized_score", *meta]
-            )
-        return self.search(
-            " ".join(terms), top_k=top_k, with_metadata=with_metadata
+        return self._search_frame(
+            self._prepare([" ".join(terms)], plan.replica),
+            top_k if top_k is not None else 100,
+            with_metadata=with_metadata,
         )
 
     def close(self):

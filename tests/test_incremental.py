@@ -505,3 +505,175 @@ def test_reloads_keep_local_index_rss_flat(tiny_index):
     # about +1 MB here; a reload that kept its old generation alive
     # would add about 1 MB per reload on this index
     assert rss_mb() - first < 3.0
+
+
+# ---------------------------------------------------------------------------
+# every public query method sees a commit on its first call after it
+
+STALE_PROBE = "zzstaleprobe"
+STALE_DOCS = [
+    {
+        "repo": "org0/repo0",
+        "path": f"src/stale/probe{i}.py",
+        "commit": "e" * 40,
+        "lang": "python",
+        "content": f"zzstaleprobe zzstalenear window {'pad ' * i}\n",
+    }
+    for i in range(5)
+]
+_NO = "zznosuchtermqq"
+_STATS = {"kind": "stats", "field": "n_bytes"}
+
+
+def _stale_doc_id() -> int:
+    from ck_ray.ids import doc_id_for
+
+    d = STALE_DOCS[0]
+    return doc_id_for(d["repo"], d["path"], d["commit"])
+
+
+# public method -> call that is truthy only when it sees the 5 new docs
+STALE_CHECKS = {
+    "search": lambda e: len(e.search(STALE_PROBE)) == 5,
+    "search_raw": lambda e: len(e.search_raw(STALE_PROBE)[0]) == 5,
+    "search_after": lambda e: len(e.search_after(STALE_PROBE)[0]) == 5,
+    "search_many": lambda e: len(e.search_many([STALE_PROBE])[0][0]) == 5,
+    "search_dismax": lambda e: len(
+        e.search_dismax([STALE_PROBE, _NO])["doc_ids"]) == 5,
+    "explain": lambda e: e.explain(STALE_PROBE, _stale_doc_id()) is not None,
+    "search_suggest": lambda e: STALE_PROBE in [
+        r["text"] for r in e.search_suggest("zzstaleprobx")],
+    "search_rescore": lambda e: len(
+        e.search_rescore(STALE_PROBE, "window")["doc_ids"]) == 5,
+    "search_boosting": lambda e: len(
+        e.search_boosting(STALE_PROBE, _NO)["doc_ids"]) == 5,
+    "search_function_score": lambda e: len(
+        e.search_function_score(STALE_PROBE, "n_bytes")["doc_ids"]) == 5,
+    "search_min_should": lambda e: len(
+        e.search_min_should([STALE_PROBE, _NO], 1)["doc_ids"]) == 5,
+    "suggest_complete": lambda e: e.suggest_complete("zzstalep") == [
+        (STALE_PROBE, 5)],
+    "search_composite_agg": lambda e: e.search_composite_agg(
+        STALE_PROBE, [{"field": "lang", "type": "terms"}]
+    )[0]["n_docs"].sum() == 5,
+    "search_span_near": lambda e: len(e.search_span_near(
+        [STALE_PROBE, "zzstalenear"], in_order=True)) == 5,
+    "search_facets": lambda e: e.search_facets(STALE_PROBE)[0] == 5,
+    "search_significant_terms": lambda e: e.search_significant_terms(
+        STALE_PROBE)["fg_total"] == 5,
+    "search_significant_text": lambda e: e.search_significant_text(
+        STALE_PROBE, sample_size=3)["fg_total"] == 3,
+    "search_distance_feature": lambda e: len(e.search_distance_feature(
+        STALE_PROBE, "n_bytes", 0, 100)["doc_ids"]) == 5,
+    "search_pinned": lambda e: e.search_pinned(
+        STALE_PROBE, [STALE_DOCS[0]["path"]])["pinned"].tolist() == [
+        True, False, False, False, False],
+    "search_span_first": lambda e: len(
+        e.search_span_first(STALE_PROBE, 3)["doc_ids"]) == 5,
+    "search_span_not": lambda e: len(
+        e.search_span_not(STALE_PROBE, _NO)["doc_ids"]) == 5,
+    "search_matrix_stats": lambda e: e.search_matrix_stats(
+        STALE_PROBE)["count"] == 5,
+    "search_weighted_avg": lambda e: e.search_weighted_avg(
+        STALE_PROBE)["count"] == 5,
+    "search_t_test": lambda e: e.search_t_test(
+        STALE_PROBE, "window")["n_a"] == 5,
+    "search_mad": lambda e: e.search_mad(STALE_PROBE)["count"] == 5,
+    "search_percentile_ranks": lambda e: e.search_percentile_ranks(
+        STALE_PROBE, values=(1,))["count"] == 5,
+    "search_rare_terms": lambda e: {"term": STALE_PROBE, "df": 5} in (
+        e.search_rare_terms(5, size=10**6)),
+    "search_phrase_suggest": lambda e: "zzstaleprobe zzstalenear" in [
+        r["phrase"] for r in e.search_phrase_suggest(
+            "zzstaleprobx zzstalenear")],
+    "search_best_passages": lambda e: len(
+        e.search_best_passages(STALE_PROBE)["doc_ids"]) == 5,
+    "search_aggregate": lambda e: e.search_aggregate(
+        STALE_PROBE, _STATS)["count"] == 5,
+    "search_filters_agg": lambda e: e.search_filters_agg(
+        {"p": STALE_PROBE}, _STATS)["p"]["count"] == 5,
+    "search_adjacency_matrix": lambda e: e.search_adjacency_matrix(
+        {"p": STALE_PROBE, "w": "window"}).get("p") == 5,
+    "search_aggregate_multi": lambda e: e.search_aggregate_multi(
+        STALE_PROBE, {"s": _STATS})["s"]["count"] == 5,
+    "search_sort_by_field": lambda e: len(e.search_sort_by_field(
+        STALE_PROBE, "n_bytes")["doc_ids"]) == 5,
+    "search_collapse": lambda e: len(
+        e.search_collapse(STALE_PROBE, "lang")) == 1,
+    "search_boxplot": lambda e: e.search_boxplot(STALE_PROBE)["count"] == 5,
+    "search_top_metrics": lambda e: len(
+        e.search_top_metrics(STALE_PROBE)) == 5,
+    "search_string_stats": lambda e: e.search_string_stats(
+        STALE_PROBE)["count"] == 5,
+    "search_facet_stats": lambda e: e.search_facet_stats(
+        STALE_PROBE).get("python", {}).get("count") == 5,
+    "search_top_hits": lambda e: sum(
+        len(d) for d, _, _ in e.search_top_hits(
+            STALE_PROBE, top_k=5).values()) == 5,
+    "select_like_terms": lambda e: STALE_PROBE in e.select_like_terms(
+        f"{STALE_PROBE} {STALE_PROBE}"),
+    "more_like_this": lambda e: len(e.more_like_this(STALE_PROBE)) == 5,
+}
+
+
+@pytest.fixture(scope="module")
+def stale_index(ray_session, tiny_corpus, tmp_path_factory):
+    """An index and the text of two of its committed root manifests:
+    ``before`` (the tiny corpus) and ``after`` (plus STALE_DOCS)."""
+    import ray.data
+
+    cfg = ckb.IndexConfig(num_parts=4, batch_size=64)
+    d = str(tmp_path_factory.mktemp("stale"))
+    ckb.build_index(ray.data.from_arrow(tiny_corpus), d, cfg)
+    path = f"{d}/manifest.json"
+    with open(path) as fh:
+        before = fh.read()
+    incremental_update(
+        ray.data.from_arrow(pa.Table.from_pylist(STALE_DOCS)), d, cfg,
+        additive=True,
+    )
+    with open(path) as fh:
+        after = fh.read()
+    return d, before, after
+
+
+@pytest.fixture(scope="module")
+def stale_engine(stale_index):
+    """One auto-reloading engine for the whole table (these tests close
+    the module, so its shards never hold CPUs a commit above needs)."""
+    eng = BM25Engine(stale_index[0], num_shards=2)
+    yield eng
+    eng.close()
+
+
+def _commit_text(d: str, text: str) -> None:
+    import os
+
+    path = os.path.join(d, "manifest.json")
+    with open(path + ".tmp", "w") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
+
+
+def test_stale_checks_cover_every_public_query_method():
+    public = {
+        n for n, f in vars(BM25Engine).items()
+        if not n.startswith("_") and callable(f)
+    }
+    assert public - {"refresh", "close"} == set(STALE_CHECKS)
+
+
+@pytest.mark.parametrize("method", sorted(STALE_CHECKS))
+def test_first_call_after_commit_sees_new_docs(
+    stale_index, stale_engine, method
+):
+    """A commit landing between two calls is visible to the very first
+    call after it, for every public query method: each call runs one
+    auto-reload check before any shard round."""
+    d, before, after = stale_index
+    check = STALE_CHECKS[method]
+    _commit_text(d, before)
+    stale_engine.refresh()
+    assert not check(stale_engine)
+    _commit_text(d, after)
+    assert check(stale_engine)

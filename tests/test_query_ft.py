@@ -1789,6 +1789,28 @@ def test_percentile_ranks_vs_bruteforce(
     assert res["ranks"][int(max(xs))] == 100.0
 
 
+def test_t_test_side_without_matches_is_nan(ray_session, tiny_index):
+    """A side with no matches has no mean and no variance: ``t`` is NaN
+    (as for a zero denominator), never a ZeroDivisionError."""
+    import math
+
+    eng = BM25Engine(tiny_index, num_shards=2, auto_reload=False)
+    try:
+        for a, b in (
+            ("nosuchtermxyz", "merge"),
+            ("merge", "nosuchtermxyz"),
+            ("nosuchtermxyz", "nosuchtermabc"),
+        ):
+            res = eng.search_t_test(a, b)
+            assert list(res) == ["n_a", "mean_a", "n_b", "mean_b", "t"]
+            assert math.isnan(res["t"]), (a, b)
+        res = eng.search_t_test("nosuchtermxyz", "merge")
+        assert res["n_a"] == 0 and math.isnan(res["mean_a"])
+        assert res["n_b"] > 1 and not math.isnan(res["mean_b"])
+    finally:
+        eng.close()
+
+
 def test_latest_agg_paths_survive_shard_kill(ray_session, tiny_index):
     """weighted_avg / t_test / mad / percentile_ranks / span_first
     recover transparently from a killed shard — same restart contract
