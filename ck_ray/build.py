@@ -35,6 +35,20 @@ with fields ``content`` and ``path``):
   a single atomic rename + manifest write — mirroring the reference's
   atomic sidecar/manifest protocol (``ck-index/src/lib.rs:1504-1523``).
 
+Two executors run these same stage callables (``_map_stage``). A parquet
+path or a Ray Dataset runs each stage as a Ray Data job. An Arrow table
+runs them in a plain loop in this process, over ``batch_size`` slices:
+same phases, same staging layout, same atomic commit, and the same
+segment and serving bytes. A Ray Data stage costs a few hundred ms of
+scheduling whatever its input size, so ``incremental_update`` hands a
+delta over as a table when its parquet footers hold at most
+``incremental.IN_PROCESS_MAX_BYTES`` (1 MiB) of uncompressed data. That
+bound is measured: below it the whole in-process update finished before
+Ray Data's fixed per-update cost alone (``incremental`` module
+docstring). Full builds, Dataset inputs and larger deltas stay on Ray
+Data, which tokenizes in parallel and bounds each task's memory; the
+in-process loop holds its whole input at once.
+
 Nothing here calls ``ray.init()``; the caller owns the session.
 """
 
@@ -47,6 +61,7 @@ import uuid
 from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -139,7 +154,47 @@ class IndexConfig:
         raise ValueError(f"unknown exchange backend {kind!r}")
 
 
+# ------------------------------------------------------------ executors
+
+
+def _map_stage(fn, src, batch_size: int | None = None) -> pd.DataFrame:
+    """Run one stage callable over ``src`` and gather its output rows.
+
+    A Ray Dataset goes through ``map_batches``. An Arrow table is the
+    in-process executor: the same callable runs in a plain loop over
+    ``batch_size`` slices (one slice when None)."""
+    if not isinstance(src, pa.Table):
+        return src.map_batches(
+            fn, batch_format="pyarrow", batch_size=batch_size
+        ).to_pandas()
+    step = batch_size or max(src.num_rows, 1)
+    outs = [fn(src.slice(i, step)) for i in range(0, src.num_rows, step)]
+    if not outs:
+        return pd.DataFrame()
+    return pa.concat_tables(outs, promote_options="default").to_pandas()
+
+
+def _task_items(rows: list[dict], local: bool):
+    """One input row per encode / merge task, for either executor."""
+    if local:
+        return pa.Table.from_pylist(rows)
+    return ray.data.from_items(rows, override_num_blocks=len(rows))
+
+
 # ------------------------------------------------------------ triples stage
+
+
+def drop_binary_rows(batch: pa.Table, skip_binary: bool) -> pa.Table:
+    """Drop the rows the reference's binary sniff marks binary
+    (``corpus.text_rows_mask``). The tokenize stage and the incremental
+    diff both apply it, so they agree on which docs exist."""
+    if skip_binary:
+        from .corpus import text_rows_mask
+
+        mask = text_rows_mask(batch["content"])
+        if not pc.all(mask).as_py():
+            batch = batch.filter(mask)
+    return batch
 
 
 class _TriplesBatcher:
@@ -171,12 +226,7 @@ class _TriplesBatcher:
         self.skip_binary = skip_binary
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.skip_binary:
-            from .corpus import text_rows_mask
-
-            mask = text_rows_mask(batch["content"])
-            if not pc.all(mask).as_py():
-                batch = batch.filter(mask)
+        batch = drop_binary_rows(batch, self.skip_binary)
         from .corpus import preview_column
 
         doc_ids = doc_id_column(batch["repo"], batch["path"], batch["commit"])
@@ -750,58 +800,67 @@ def _prune_stale_serving(staging: str, done_parts: set[int]) -> None:
     shutil.rmtree(os.path.join(staging, "serving", "docs"), ignore_errors=True)
 
 
-def _build_serving_docs(staging: str, docs_dir: str, cfg: IndexConfig) -> None:
+def _build_serving_docs(
+    staging: str, docs_dir: str, cfg: IndexConfig, local: bool = False
+) -> None:
     """Bucket the doc-metadata table for serving (posting slices are
     emitted inline by the segment-encode / hot-merge stages)."""
     B = cfg.serving_buckets
     assert B & (B - 1) == 0, "serving_buckets must be a power of two"
     if os.path.isdir(docs_dir):
         docs_out = os.path.join(staging, "serving", "docs")
-        ray.data.read_parquet(docs_dir).map_batches(
+        _map_stage(
             lambda t: _bucket_docs_batch(t, docs_out, B),
-            batch_format="pyarrow",
-        ).count()
+            pq.read_table(docs_dir) if local
+            else ray.data.read_parquet(docs_dir),
+        )
 
 
 # ------------------------------------------------------------------- build
 
 
+def sample_dfs(t: pa.Table) -> pa.Table:
+    """Per-term doc counts of one sample batch, plus its doc count."""
+    pieces = []
+    for fname in FIELDS:
+        tf_t, _ = term_frequencies(t[fname], with_positions=False)
+        g = pa.TableGroupBy(tf_t, ["term"], use_threads=False).aggregate(
+            [("row", "count")]
+        )
+        pieces.append(
+            pa.table({"term": g["term"], "df": g["row_count"]})
+        )
+    out = pa.concat_tables(pieces)
+    out = out.append_column(
+        "n_docs", pa.array([t.num_rows] + [0] * (out.num_rows - 1), pa.int64())
+        if out.num_rows
+        else pa.array([], pa.int64()),
+    )
+    return out
+
+
 def estimate_hot_terms(
-    ds: ray.data.Dataset, threshold: int | None, sample_docs: int
+    ds: ray.data.Dataset | pa.Table, threshold: int | None, sample_docs: int
 ) -> frozenset[str]:
     """Estimate terms whose corpus df will exceed ``threshold`` from a doc
-    sample (selection only steers salting; any set yields identical output)."""
-    def sample_dfs(t: pa.Table) -> pa.Table:
-        pieces = []
-        for fname in FIELDS:
-            tf_t, _ = term_frequencies(t[fname], with_positions=False)
-            g = pa.TableGroupBy(tf_t, ["term"], use_threads=False).aggregate(
-                [("row", "count")]
-            )
-            pieces.append(
-                pa.table({"term": g["term"], "df": g["row_count"]})
-            )
-        out = pa.concat_tables(pieces)
-        out = out.append_column(
-            "n_docs", pa.array([t.num_rows] + [0] * (out.num_rows - 1), pa.int64())
-            if out.num_rows
-            else pa.array([], pa.int64()),
+    sample (selection only steers salting; any set yields identical output).
+
+    An Arrow table samples its first ``sample_docs`` rows in process; a
+    Dataset samples through a ``limit`` pipeline."""
+    if isinstance(ds, pa.Table):
+        tbls = [sample_dfs(ds.slice(0, sample_docs))]
+    else:
+        partials = (
+            ds.limit(sample_docs)
+            .map_batches(sample_dfs, batch_format="pyarrow")
+            .to_arrow_refs()
         )
-        return out
+        import ray as _ray
 
-    partials = (
-        ds.limit(sample_docs)
-        .map_batches(sample_dfs, batch_format="pyarrow")
-        .to_arrow_refs()
-    )
-    import ray as _ray
-
+        tbls = [_ray.get(r) for r in partials]
     # empty upstream blocks pass through map_batches schema-less
     # (zero columns) — drop them before the concat
-    tbls = [
-        t for t in (_ray.get(r) for r in partials)
-        if t.num_rows and t.num_columns
-    ]
+    tbls = [t for t in tbls if t.num_rows and t.num_columns]
     if not tbls:
         return frozenset()
     tbl = pa.concat_tables(tbls)
@@ -822,14 +881,14 @@ def estimate_hot_terms(
             return frozenset()
         hot = g["term"].filter(pa.array(dfs >= 0.1 * n_seen))
         return frozenset(hot.to_pylist())
-    total = ds.count()
+    total = ds.num_rows if isinstance(ds, pa.Table) else ds.count()
     scale = max(1.0, total / max(n_seen, 1))
     hot = g["term"].filter(pa.array(dfs * scale >= threshold))
     return frozenset(hot.to_pylist())
 
 
 def build_index(
-    corpus: str | ray.data.Dataset,
+    corpus: str | ray.data.Dataset | pa.Table,
     index_dir: str,
     config: IndexConfig | None = None,
     *,
@@ -837,7 +896,10 @@ def build_index(
     epoch: str | None = None,
     commit_root: bool = True,
 ) -> dict:
-    """Build (or resume building) the index; returns the committed manifest."""
+    """Build (or resume building) the index; returns the committed manifest.
+
+    ``corpus`` is a parquet path, a Ray Dataset or an Arrow table. A
+    table runs every stage in this process (module docstring)."""
     import time as _time
 
     _t0 = _time.perf_counter()
@@ -849,6 +911,7 @@ def build_index(
             print(f"[build] {name}: {_phase[name]}s", flush=True)
 
     cfg = config or IndexConfig()
+    local = isinstance(corpus, pa.Table)
     ds = (
         ray.data.read_parquet(corpus)
         if isinstance(corpus, str)
@@ -898,15 +961,15 @@ def build_index(
     # drop serving files this attempt will regenerate (crashed attempts
     # leave differently-tagged files behind otherwise)
     _prune_stale_serving(staging, done_parts)
-    man = ds.map_batches(
+    man = _map_stage(
         _TriplesBatcher(
             cfg.num_parts, cfg.store_positions, hot_terms, cfg.salt_buckets,
             backend, frozenset(done_parts), docs_launch_dir,
             skip_binary=cfg.skip_binary,
         ),
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-    ).to_pandas()
+        ds,
+        cfg.batch_size,
+    )
     # promote ONLY manifested docs files: a crashed attempt's orphan
     # docs-*.parquet can never duplicate doc-metadata rows
     docs_files = (
@@ -943,26 +1006,22 @@ def build_index(
     lineage: list[dict] = []
     hotrun_by_group: dict[int, list[str]] = {}
     if runs_by_part:
-        items = ray.data.from_items(
+        items = _task_items(
             [
                 {"part": p, "runs": rs}
                 for p, rs in sorted(runs_by_part.items())
             ],
-            override_num_blocks=len(runs_by_part),
+            local,
         )
-        enc_rows = (
-            items.map_batches(
-                _SegmentEncoder(
-                    backend, seg_dir, hot_backend,
-                    cfg.store_positions, cfg.num_parts,
-                    srv_post_dir=os.path.join(staging, "serving", "post"),
-                    n_buckets=cfg.serving_buckets,
-                ),
-                batch_format="pyarrow", batch_size=1,
-            )
-            .to_pandas()
-            .to_dict("records")
-        )
+        enc_rows = _map_stage(
+            _SegmentEncoder(
+                backend, seg_dir, hot_backend,
+                cfg.store_positions, cfg.num_parts,
+                srv_post_dir=os.path.join(staging, "serving", "post"),
+                n_buckets=cfg.serving_buckets,
+            ),
+            items, 1,
+        ).to_dict("records")
         lineage += [r for r in enc_rows if r["kind"] == "cold"]
         for r in enc_rows:
             if r["kind"] == "hotrun":
@@ -972,30 +1031,26 @@ def build_index(
     _mark("encode_segments")
 
     if hotrun_by_group:
-        fitems = ray.data.from_items(
+        fitems = _task_items(
             [
                 {"group": g, "runs": rs}
                 for g, rs in sorted(hotrun_by_group.items())
             ],
-            override_num_blocks=len(hotrun_by_group),
+            local,
         )
-        lineage += (
-            fitems.map_batches(
-                _HotMerger(
-                    hot_backend, seg_dir, cfg.store_positions,
-                    cfg.num_parts,
-                    srv_post_dir=os.path.join(staging, "serving", "post"),
-                    n_buckets=cfg.serving_buckets,
-                ),
-                batch_format="pyarrow", batch_size=1,
-            )
-            .to_pandas()
-            .to_dict("records")
-        )
+        lineage += _map_stage(
+            _HotMerger(
+                hot_backend, seg_dir, cfg.store_positions,
+                cfg.num_parts,
+                srv_post_dir=os.path.join(staging, "serving", "post"),
+                n_buckets=cfg.serving_buckets,
+            ),
+            fitems, 1,
+        ).to_dict("records")
     _mark("hot_merge")
     # ---- serving doc metadata (posting slices were emitted inline by
     # the encode/merge stages straight from their decoded arrays)
-    _build_serving_docs(staging, docs_dir, cfg)
+    _build_serving_docs(staging, docs_dir, cfg, local)
     _mark("serving_docs")
     backend.cleanup()
     hot_backend.cleanup()
@@ -1018,18 +1073,9 @@ def build_index(
         "num_serving_buckets": cfg.serving_buckets,
         "doc_preview": True,
         "store_positions": cfg.store_positions,
-        "fields": {
-            "content": {
-                "field_id": 0,
-                "total_tokens": total_content,
-                "avgdl": (total_content / n_docs) if n_docs else 0.0,
-            },
-            "path": {
-                "field_id": 1,
-                "total_tokens": total_path,
-                "avgdl": (total_path / n_docs) if n_docs else 0.0,
-            },
-        },
+        "fields": manifest_fields(
+            {"content": total_content, "path": total_path}, n_docs
+        ),
         "parts": sorted(lineage, key=lambda r: (r["part"], r.get("kind", "cold"))),
         "hot_terms": sorted(hot_terms) if hot_terms else [],
         # epoch-versioned segment sets: incremental updates append epochs;
@@ -1045,11 +1091,30 @@ def build_index(
     os.replace(staging, final_dir)
     root_manifest = dict(manifest, epoch_dir=epoch)
     if commit_root:
-        tmp = os.path.join(index_dir, f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex}")
-        with open(tmp, "w") as fh:
-            json.dump(root_manifest, fh, indent=1)
-        os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
+        commit_manifest(index_dir, root_manifest)
     return root_manifest
+
+
+def manifest_fields(totals: dict[str, int], n_docs: int) -> dict:
+    """The manifest's ``fields`` block: total tokens and avgdl per field,
+    from ``totals`` (field name -> total tokens)."""
+    return {
+        f: {
+            "field_id": fid,
+            "total_tokens": totals[f],
+            "avgdl": (totals[f] / n_docs) if n_docs else 0.0,
+        }
+        for fid, f in enumerate(FIELDS)
+    }
+
+
+def commit_manifest(index_dir: str, manifest: dict) -> None:
+    """Atomically replace the index's root manifest: write a tmp file,
+    then ``os.replace`` it over ``manifest.json``."""
+    tmp = os.path.join(index_dir, f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex}")
+    with open(tmp, "w") as fh:
+        json.dump(manifest, fh, indent=1)
+    os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
 
 
 def load_manifest(index_dir: str) -> dict:

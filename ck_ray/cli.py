@@ -521,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.switch_model:
-            from .build import MANIFEST_NAME, load_manifest
+            from .build import commit_manifest, load_manifest
             from .models import ModelRegistry
 
             if not args.index_dir:
@@ -530,14 +530,7 @@ def main(argv: list[str] | None = None) -> int:
             alias, spec = ModelRegistry().resolve(args.switch_model)
             man = load_manifest(args.index_dir)
             man["model"] = alias
-            import uuid
-
-            tmp = os.path.join(
-                args.index_dir, f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex}"
-            )
-            with open(tmp, "w") as fh:
-                json.dump(man, fh, indent=1)
-            os.replace(tmp, os.path.join(args.index_dir, MANIFEST_NAME))
+            commit_manifest(args.index_dir, man)
             status(
                 f"switched model to {alias} "
                 f"({spec.dimensions}d, {spec.provider})"

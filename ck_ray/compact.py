@@ -62,7 +62,9 @@ from .build import (
     IndexConfig,
     _build_serving_docs,
     _SegmentEncoder,
+    commit_manifest,
     load_manifest,
+    manifest_fields,
 )
 from .exchange import spill_partitioned
 from .ids import term_hash
@@ -337,18 +339,9 @@ def _epoch_manifest(
         "num_parts": cfg.num_parts,
         "num_serving_buckets": cfg.serving_buckets,
         "store_positions": cfg.store_positions,
-        "fields": {
-            "content": {
-                "field_id": 0,
-                "total_tokens": total_content,
-                "avgdl": (total_content / n_docs) if n_docs else 0.0,
-            },
-            "path": {
-                "field_id": 1,
-                "total_tokens": total_path,
-                "avgdl": (total_path / n_docs) if n_docs else 0.0,
-            },
-        },
+        "fields": manifest_fields(
+            {"content": total_content, "path": total_path}, n_docs
+        ),
         "parts": sorted(
             lineage, key=lambda r: (r["part"], r.get("kind", "cold"))
         ),
@@ -392,10 +385,7 @@ def compact_index(index_dir: str, config: IndexConfig | None = None) -> dict:
     # ---- atomic commit, then old-chain cleanup
     os.replace(staging, final_dir)
     root = dict(manifest, epoch_dir=new_epoch)
-    tmp = os.path.join(index_dir, f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex}")
-    with open(tmp, "w") as fh:
-        json.dump(root, fh, indent=1)
-    os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
+    commit_manifest(index_dir, root)
     for e in epochs:
         shutil.rmtree(os.path.join(index_dir, e), ignore_errors=True)
     return root
@@ -479,8 +469,5 @@ def merge_indexes(
         json.dump(manifest, fh, indent=1)
     os.replace(staging, os.path.join(out_dir, new_epoch))
     root = dict(manifest, epoch_dir=new_epoch)
-    tmp = os.path.join(out_dir, f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex}")
-    with open(tmp, "w") as fh:
-        json.dump(root, fh, indent=1)
-    os.replace(tmp, os.path.join(out_dir, MANIFEST_NAME))
+    commit_manifest(out_dir, root)
     return root

@@ -3,7 +3,9 @@
 Mirrors the reference's incremental protocol (manifest probe + hash
 compare, ``ck-index/src/lib.rs:851-906``) at index granularity:
 
-1. one streaming pass over the new corpus computes (doc_id, sha256);
+1. one pass over the new corpus computes (doc_id, sha256) of its text
+   rows (the build's binary sniff, ``drop_binary_rows``, applies here
+   too, so a skipped binary row is never counted as a changed doc);
 2. anti-join against the previous epochs' live doc set (broadcast of
    (id, sha) pairs at this scale; a shuffle anti-join on sha at 10^12 —
    the diff itself is the same);
@@ -14,15 +16,32 @@ compare, ``ck-index/src/lib.rs:851-906``) at index granularity:
    per-doc ``dl_*`` columns of the superseded entries, so an incremental
    index is **query-identical to a full rebuild** (tested).
 
+Steps 1 and 3 run on one of ``build_index``'s two executors. A delta
+given as a parquet path whose footers hold at most
+``IN_PROCESS_MAX_BYTES`` (1 MiB) of uncompressed data is read once; the
+id/sha pass and the changed-row filter run in this process, and the
+filtered table goes to ``build_index``'s in-process loop. Larger paths
+and Dataset inputs run both steps as Ray Data jobs (the filter is a
+``map_batches`` over a broadcast changed-id array), which tokenize in
+parallel and bound each task's memory.
+
+The bound is measured, not derived from a Ray setting (Ray Data splits
+even a 20-row read into up to ``2 x CPUs`` blocks). On one vCPU with Ray
+at 3 CPUs, a 20-doc additive delta took 0.20-0.30 s in process against
+1.37-1.40 s on Ray Data, nearly all of it the fixed per-stage cost; a
+1.07 MiB (600-doc) delta took 0.68-0.81 s in process, still below that
+fixed cost, so more cores could not make Ray Data faster there unless
+they also cut its fixed cost. At 3.9 MiB the two were even (CHANGES.md
+has the table). The bound also caps what the in-process loop holds in
+memory at once.
+
 Supersede rule at query time: a posting for doc d from epoch e is live
 iff no later epoch's docs table contains d and d is not deleted.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import uuid
 
 import numpy as np
 import pandas as pd
@@ -31,8 +50,75 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray.data
 
-from .build import MANIFEST_NAME, IndexConfig, build_index, load_manifest
+from .build import (
+    IndexConfig,
+    build_index,
+    commit_manifest,
+    drop_binary_rows,
+    load_manifest,
+    manifest_fields,
+)
 from .ids import doc_id_column, sha256_hex_column
+
+
+# Largest parquet input, in uncompressed footer bytes, that
+# ``incremental_update`` runs in process (module docstring).
+IN_PROCESS_MAX_BYTES = 1 << 20
+
+
+def _footer_bytes(dset: pq.ParquetDataset, limit: int) -> int:
+    """Uncompressed size in ``dset``'s parquet footers, read through the
+    dataset's own filesystem (so URIs such as ``s3://`` work); counting
+    stops once it passes ``limit``."""
+    size = 0
+    for f in dset.files:
+        md = pq.read_metadata(f, filesystem=dset.filesystem)
+        size += sum(
+            md.row_group(i).total_byte_size for i in range(md.num_row_groups)
+        )
+        if size > limit:
+            break
+    return size
+
+
+def _small_table(corpus) -> pa.Table | None:
+    """``corpus`` as one Arrow table when it is a parquet path of at most
+    ``IN_PROCESS_MAX_BYTES``; None sends it to Ray Data."""
+    if not isinstance(corpus, str):
+        return None
+    dset = pq.ParquetDataset(corpus)
+    if _footer_bytes(dset, IN_PROCESS_MAX_BYTES) > IN_PROCESS_MAX_BYTES:
+        return None
+    return dset.read()
+
+
+def _keep_ids(t: pa.Table, ids_sorted: np.ndarray) -> pa.Table:
+    """Rows of ``t`` whose doc id is in the sorted array ``ids_sorted``."""
+    ids = doc_id_column(t["repo"], t["path"], t["commit"]).to_numpy()
+    idx = np.clip(np.searchsorted(ids_sorted, ids), 0, len(ids_sorted) - 1)
+    return t.filter(pa.array(ids_sorted[idx] == ids))
+
+
+def _commit_epoch(
+    index_dir: str, man: dict, epoch: str, n_docs: int,
+    totals: dict[str, int], n_changed: int, n_deleted: int,
+) -> dict:
+    """Append ``epoch`` to the chain in one atomic root-manifest swap."""
+    epochs = man.get("epochs", [man["epoch_dir"]])
+    root = dict(man)
+    root.update(
+        {
+            "epoch": epoch,
+            "epoch_dir": man["epoch_dir"],  # first epoch stays the anchor
+            "epochs": [*epochs, epoch],
+            "num_docs": n_docs,
+            "fields": manifest_fields(totals, n_docs),
+            "n_changed": n_changed,
+            "n_deleted": n_deleted,
+        }
+    )
+    commit_manifest(index_dir, root)
+    return root
 
 
 def _live_prev_docs(index_dir: str, man: dict) -> pd.DataFrame:
@@ -102,10 +188,11 @@ def incremental_update(
     assert cfg.num_parts == man["num_parts"], "partition count is fixed per index"
     # serving bucket count is fixed per index (shards map buckets to ranges)
     cfg.serving_buckets = man.get("num_serving_buckets", cfg.serving_buckets)
-    ds = ray.data.read_parquet(corpus) if isinstance(corpus, str) else corpus
 
-    # pass 1: (doc_id, sha) of the new corpus (ids+hashes only to driver)
+    # pass 1: (doc_id, sha) of the new corpus's text rows (ids+hashes
+    # only to driver)
     def id_sha(t: pa.Table) -> pa.Table:
+        t = drop_binary_rows(t, cfg.skip_binary)
         return pa.table(
             {
                 "doc_id": doc_id_column(t["repo"], t["path"], t["commit"]),
@@ -113,7 +200,13 @@ def incremental_update(
             }
         )
 
-    new_info = ds.map_batches(id_sha, batch_format="pyarrow").to_pandas()
+    # ``ds`` is an Arrow table on the in-process executor, else a Dataset
+    ds = _small_table(corpus)
+    if ds is not None:
+        new_info = id_sha(ds).to_pandas()
+    else:
+        ds = ray.data.read_parquet(corpus) if isinstance(corpus, str) else corpus
+        new_info = ds.map_batches(id_sha, batch_format="pyarrow").to_pandas()
     if new_info["doc_id"].nunique() != len(new_info):
         raise RuntimeError(
             "duplicate (repo, path, commit) rows in the new corpus — "
@@ -145,18 +238,15 @@ def incremental_update(
 
     if changed:
         changed_arr = np.sort(np.array(changed, dtype=np.int64))
-        import ray as _ray
+        if isinstance(ds, pa.Table):
+            sub = _keep_ids(ds, changed_arr)
+        else:
+            import ray as _ray
 
-        cref = _ray.put(changed_arr)
-
-        def only_changed(t: pa.Table) -> pa.Table:
-            ids = doc_id_column(t["repo"], t["path"], t["commit"]).to_numpy()
-            carr = _ray.get(cref)
-            idx = np.searchsorted(carr, ids)
-            idx_c = np.clip(idx, 0, len(carr) - 1)
-            return t.filter(pa.array(carr[idx_c] == ids))
-
-        sub = ds.map_batches(only_changed, batch_format="pyarrow")
+            cref = _ray.put(changed_arr)
+            sub = ds.map_batches(
+                lambda t: _keep_ids(t, _ray.get(cref)), batch_format="pyarrow"
+            )
         # commit_root=False: the old root manifest stays valid until the
         # merged multi-epoch manifest lands atomically below
         sub_man = build_index(sub, index_dir, cfg, epoch=epoch, commit_root=False)
@@ -180,34 +270,9 @@ def incremental_update(
         n_docs = len(set(prev_map) & new_ids)
     else:
         n_docs = len(new_info)
-    root = dict(man)
-    root.update(
-        {
-            "epoch": epoch,
-            "epoch_dir": man["epoch_dir"],  # first epoch stays the anchor
-            "epochs": [*epochs, epoch],
-            "num_docs": n_docs,
-            "fields": {
-                "content": {
-                    "field_id": 0,
-                    "total_tokens": totals["content"],
-                    "avgdl": totals["content"] / n_docs if n_docs else 0.0,
-                },
-                "path": {
-                    "field_id": 1,
-                    "total_tokens": totals["path"],
-                    "avgdl": totals["path"] / n_docs if n_docs else 0.0,
-                },
-            },
-            "n_changed": len(changed),
-            "n_deleted": len(deleted),
-        }
+    return _commit_epoch(
+        index_dir, man, epoch, n_docs, totals, len(changed), len(deleted)
     )
-    tmp = os.path.join(index_dir, f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex}")
-    with open(tmp, "w") as fh:
-        json.dump(root, fh, indent=1)
-    os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
-    return root
 
 
 def delete_by_query(
@@ -263,31 +328,6 @@ def delete_by_query(
         pa.table({"doc_id": pa.array(deleted, pa.int64())}),
         os.path.join(index_dir, epoch, "deleted.parquet"),
     )
-    root = dict(man)
-    root.update(
-        {
-            "epoch": epoch,
-            "epoch_dir": man["epoch_dir"],
-            "epochs": [*epochs, epoch],
-            "num_docs": n_docs,
-            "fields": {
-                "content": {
-                    "field_id": 0,
-                    "total_tokens": totals["content"],
-                    "avgdl": totals["content"] / n_docs if n_docs else 0.0,
-                },
-                "path": {
-                    "field_id": 1,
-                    "total_tokens": totals["path"],
-                    "avgdl": totals["path"] / n_docs if n_docs else 0.0,
-                },
-            },
-            "n_changed": 0,
-            "n_deleted": int(len(deleted)),
-        }
+    return _commit_epoch(
+        index_dir, man, epoch, n_docs, totals, 0, int(len(deleted))
     )
-    tmp = os.path.join(index_dir, f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex}")
-    with open(tmp, "w") as fh:
-        json.dump(root, fh, indent=1)
-    os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
-    return root

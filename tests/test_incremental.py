@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 import ck_ray.build as ckb
@@ -51,7 +52,31 @@ QUERIES = [
 ]
 
 
+def _parquet_path(t: pa.Table, d) -> str:
+    """``t`` as a one-file parquet dir: a small path input, which
+    ``incremental_update`` runs on the in-process executor."""
+    d.mkdir()
+    pq.write_table(t, str(d / "part-0.parquet"))
+    return str(d)
+
+
 def test_incremental_equals_full_rebuild(ray_session, tiny_corpus, tmp_path):
+    import ray.data
+
+    _check_incremental_equals_full_rebuild(
+        tiny_corpus, tmp_path, ray.data.from_arrow
+    )
+
+
+def test_incremental_equals_full_rebuild_path_input(
+    ray_session, tiny_corpus, tmp_path
+):
+    _check_incremental_equals_full_rebuild(
+        tiny_corpus, tmp_path, lambda t: _parquet_path(t, tmp_path / "v2")
+    )
+
+
+def _check_incremental_equals_full_rebuild(tiny_corpus, tmp_path, as_input):
     import ray.data
 
     cfg = ckb.IndexConfig(num_parts=4, batch_size=64)
@@ -59,7 +84,7 @@ def test_incremental_equals_full_rebuild(ray_session, tiny_corpus, tmp_path):
 
     d_inc = str(tmp_path / "inc")
     ckb.build_index(ray.data.from_arrow(tiny_corpus), d_inc, cfg)
-    man = incremental_update(ray.data.from_arrow(v2), d_inc, cfg)
+    man = incremental_update(as_input(v2), d_inc, cfg)
     assert man["n_changed"] > 0 and man["n_deleted"] > 0
     assert len(man["epochs"]) == 2
     assert man["num_docs"] == v2.num_rows

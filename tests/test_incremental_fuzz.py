@@ -10,8 +10,11 @@ content, tombstones from epoch k applied against epoch j<k, compaction
 mid-chain followed by further updates on the compacted base.
 """
 
+import itertools
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 import ck_ray.build as ckb
@@ -86,6 +89,30 @@ def _mutate_step(rows: list[dict], rng: np.random.RandomState, step: int) -> lis
 def test_random_epoch_chain_equals_rebuild(ray_session, tmp_path, seed):
     import ray.data
 
+    _check_epoch_chain(tmp_path, seed, ray.data.from_arrow)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_random_epoch_chain_equals_rebuild_path_input(
+    ray_session, tmp_path, seed
+):
+    """Every step's corpus as a small parquet path: the updates run on
+    the in-process executor."""
+
+    steps = itertools.count(1)
+
+    def as_path(t: pa.Table) -> str:
+        d = tmp_path / f"v{next(steps)}"
+        d.mkdir()
+        pq.write_table(t, str(d / "part-0.parquet"))
+        return str(d)
+
+    _check_epoch_chain(tmp_path, seed, as_path)
+
+
+def _check_epoch_chain(tmp_path, seed, as_input):
+    import ray.data
+
     from ck_ray.corpus import generate_corpus
 
     rng = np.random.RandomState(seed)
@@ -99,9 +126,7 @@ def test_random_epoch_chain_equals_rebuild(ray_session, tmp_path, seed):
 
     for step in range(1, n_steps + 1):
         rows = _mutate_step(rows, rng, step)
-        man = incremental_update(
-            ray.data.from_arrow(_table(rows)), d_inc, cfg
-        )
+        man = incremental_update(as_input(_table(rows)), d_inc, cfg)
         assert man["num_docs"] == len(rows), f"step {step}: num_docs"
         if step == compact_at:
             man = compact_index(d_inc, cfg)
