@@ -130,9 +130,12 @@ class IndexConfig:
             return "/dev/shm/ck_ray_exchange"
         return staging
 
-    def make_backends(self, staging: str, launch: str):
-        """(triples backend, hot-runs backend) for this build attempt."""
-        kind = self.exchange_backend or os.environ.get(
+    def make_backends(self, staging: str, launch: str, local: bool = False):
+        """(triples backend, hot-runs backend) for this build attempt.
+        The in-process executor (``local``) always takes the fs backend:
+        nothing crosses a process there, so the actor backend's
+        partition owners would only add their start-up."""
+        kind = "fs" if local else self.exchange_backend or os.environ.get(
             "CK_EXCHANGE_BACKEND", "fs"
         )
         if kind == "fs":
@@ -956,7 +959,7 @@ def build_index(
     # manifested runs, so a Ray-retried task's orphan runs (first attempt
     # crashed mid-spill) are never read, let alone double-counted.
     launch = uuid.uuid4().hex[:8]
-    backend, hot_backend = cfg.make_backends(staging, launch)
+    backend, hot_backend = cfg.make_backends(staging, launch, local)
     docs_launch_dir = os.path.join(staging, f"docs-{launch}")
     # drop serving files this attempt will regenerate (crashed attempts
     # leave differently-tagged files behind otherwise)

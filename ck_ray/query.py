@@ -34,9 +34,11 @@ import ctypes
 import hashlib
 import inspect
 import os
+import pickle
 import re
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -810,6 +812,56 @@ def expand_prefix_tree(
     )
 
 
+# The dictionary-expanded leaf kinds, in ``expand_prefix_tree``'s
+# argument order, which is also the global cap's check order: (kind,
+# clause -> expansion spec or None, spec -> cap-error label). A spec is
+# the argument tuple of the kind's expander, so a shard's record of
+# ``(kind, spec) -> local terms`` and the driver's parse agree on keys.
+_EXPANSIONS = (
+    ("prefix",
+     lambda c: (c.field, c.terms[-1]) if c.prefix else None,
+     lambda s: f"prefix '{s[1]}*'"),
+    ("range",
+     lambda c: None if c.range_spec is None else (c.field, *c.range_spec),
+     lambda s: f"range [{s[1]} TO {s[2]}]"),
+    ("fuzzy",
+     lambda c: (
+         (c.field, c.terms[0], c.fuzzy, c.fuzzy_transpose)
+         if c.fuzzy else None
+     ),
+     lambda s: f"fuzzy '{s[1]}~{s[2]}'"),
+    ("regex",
+     lambda c: None if c.regex_spec is None else (c.field, c.regex_spec),
+     lambda s: f"regex /{s[1]}/"),
+)
+
+
+def _capped_leaves(trees) -> list[tuple[str, tuple]]:
+    """``(kind, spec)`` of every dictionary-expanded leaf of ``trees``,
+    deduped, in leaf order (the trees themselves deduped by identity:
+    a batch of repeated queries shares one cached tree)."""
+    return list(dict.fromkeys(
+        (kind, s)
+        for t in {id(t): t for t in trees}.values()
+        for c in collect_clauses(t)
+        for kind, spec_of, _ in _EXPANSIONS
+        if (s := spec_of(c)) is not None
+    ))
+
+
+def _trees_in(x):
+    """The parse trees inside a shard request's arguments (nested in
+    lists, tuples and dict values; arrays and strings are skipped)."""
+    if isinstance(x, (Clause, BoolNode)):
+        yield x
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _trees_in(y)
+    elif isinstance(x, dict):
+        for y in x.values():
+            yield from _trees_in(y)
+
+
 # (the physical layer lives below _PostingView: LocalIndex holds a set of
 # doc-range buckets of the serving layout, DocShard wraps it as an actor)
 
@@ -960,8 +1012,12 @@ class LocalIndex:
     Statistics: N and avgdl are global (manifest); ``df`` on every serving
     row is the term's global df at build time, exact for a single-epoch
     index. With incremental epochs or deletions the driver supplies exact
-    global live dfs via ``df_map`` (one tiny int-only round, summing the
-    shards' local live counts).
+    global live dfs via ``df_map`` (one tiny int-only ``plan`` round,
+    summing the shards' local live counts).
+
+    The engine reaches a shard only through ``handle``, which also
+    returns the request's local expansions of the dictionary-expanded
+    leaves: the driver checks the GLOBAL expansion cap on their union.
 
     ``buckets=None`` loads ALL buckets — a complete single-process engine
     (used by tests and the CLI's embedded mode). ``shard=(i, n)`` instead
@@ -969,6 +1025,10 @@ class LocalIndex:
     being loaded, so construction, ``reload`` and a restart all pick the
     same buckets even after a compaction changed that count.
     """
+
+    # (kind, spec) -> sorted local terms of each dictionary-expanded
+    # leaf of the engine request being handled; None outside ``handle``
+    _record: dict | None = None
 
     def __init__(self, index_dir: str, buckets: list[int] | None = None,
                  dtype=np.float32, synonyms: dict | None = None,
@@ -1244,7 +1304,8 @@ class LocalIndex:
     def expand_prefixes(
         self, pairs: list[tuple[str, str]]
     ) -> list[list[str]]:
-        """Batch form for the engine's global-df round."""
+        """Batch form (``suggest_complete`` and probes; the engine's
+        expansion cap reads the records of ``handle`` instead)."""
         return [self._expand_prefix(f, p) for f, p in pairs]
 
     def _expand_range(
@@ -1282,7 +1343,8 @@ class LocalIndex:
         return sorted({str(s)[cut:] for s in self._keys[a:b]})
 
     def expand_ranges(self, specs: list[tuple]) -> list[list[str]]:
-        """Batch form for the engine's global cap-enforcement round."""
+        """Batch form (probes and tests; the engine's expansion cap
+        reads the records of ``handle`` instead)."""
         return [self._expand_range(*s) for s in specs]
 
     def _field_dictionary(self, field: str) -> np.ndarray:
@@ -1319,7 +1381,9 @@ class LocalIndex:
         return [str(t) for t in terms[mask]]
 
     def expand_fuzzies(self, specs: list[tuple]) -> list[list[str]]:
-        """Batch form for the engine's global cap-enforcement round."""
+        """Batch form (``search_phrase_suggest``, probes and tests; the
+        engine's expansion cap
+        reads the records of ``handle`` instead)."""
         return [self._expand_fuzzy(*s) for s in specs]
 
     def _expand_regex(self, field: str, pattern: str) -> list[str]:
@@ -1339,7 +1403,8 @@ class LocalIndex:
         return [str(t) for t in terms if rx.fullmatch(str(t))]
 
     def expand_regexes(self, specs: list[tuple]) -> list[list[str]]:
-        """Batch form for the engine's global cap-enforcement round."""
+        """Batch form (probes and tests; the engine's expansion cap
+        reads the records of ``handle`` instead)."""
         return [self._expand_regex(*s) for s in specs]
 
     def local_dfs(self, keys: list[tuple[int, str]]) -> list[int]:
@@ -1350,6 +1415,76 @@ class LocalIndex:
             v = self._view(tuple(k))
             out.append(0 if v is None else v.df)
         return out
+
+    # ------------------------------------------------------ engine requests
+
+    def _expanders(self) -> tuple:
+        """The four dictionary expanders in ``_EXPANSIONS`` order. Inside
+        an engine request each one answers from, and adds to, the
+        request's record, so a leaf is expanded once per request."""
+        fns = (
+            self._expand_prefix, self._expand_range,
+            self._expand_fuzzy, self._expand_regex,
+        )
+        rec = self._record
+        if rec is None:
+            return fns
+
+        def noted(kind, fn):
+            def expand(*spec):
+                terms = rec.get((kind, spec))
+                if terms is None:
+                    terms = rec[(kind, spec)] = fn(*spec)
+                return terms
+
+            return expand
+
+        return tuple(noted(k, fn) for (k, _, _), fn in zip(_EXPANSIONS, fns))
+
+    def _over_cap(self) -> bool:
+        return any(
+            len(t) > MAX_PREFIX_EXPANSIONS for t in self._record.values()
+        )
+
+    def handle(self, request: bytes):
+        """The engine's one shard entry point. ``request`` is a pickled
+        ``(op, args, kw)``; the reply is ``(op's reply, record)``, where
+        the record maps ``(kind, spec)`` of every dictionary-expanded
+        leaf of the request's trees to its sorted LOCAL terms, so the
+        driver checks the global expansion cap (Lucene's maxClauseCount
+        counts the union) on the round that already does the work. All
+        leaves are expanded before ``op`` runs, so the record is complete
+        whatever ``op`` skips; a local expansion over the cap means the
+        union is over it too, and ``op`` is skipped (reply None). A
+        request is a pure function of the loaded state, so a retry after
+        an actor restart answers the same."""
+        op, args, kw = pickle.loads(request)
+        self._record = {}
+        try:
+            kinds = (k for k, _, _ in _EXPANSIONS)
+            exps = dict(zip(kinds, self._expanders()))
+            for kind, spec in _capped_leaves(_trees_in(args)):
+                exps[kind](*spec)
+            if self._over_cap():
+                return None, self._record
+            return getattr(self, op)(*args, **kw), self._record
+        finally:
+            self._record = None
+
+    def plan(self, keys: list, prefixes: list[tuple[str, str]]) -> dict:
+        """The engine's merged plan round (multi-epoch or deleted docs):
+        expand the ``(field, prefix)`` specs here (recorded for the cap
+        check) and return ``{key: LIVE local df}`` for ``keys`` plus
+        every locally expanded term. A term this shard lacks is absent,
+        and the driver's sum counts it 0."""
+        keys = dict.fromkeys(map(tuple, keys))
+        expand = self._expanders()[0]
+        for field, prefix in prefixes:
+            fid = FIELD_IDS[field]
+            keys.update(dict.fromkeys((fid, t) for t in expand(field, prefix)))
+        if self._record is not None and self._over_cap():
+            return {}
+        return dict(zip(keys, self.local_dfs(list(keys))))
 
     # ------------------------------------------------------------- scoring
 
@@ -1737,7 +1872,10 @@ class LocalIndex:
         fuzzy, range, regex) against this shard's dictionary — they
         then score/highlight as their EXPANSIONS, as Lucene rewrites
         them — and gather the rows of every leaf term. Returns
-        ``(tree, rows)``, or None for the empty query."""
+        ``(tree, rows)``, or None for the empty query. A local expansion
+        over the cap raises here: the backstop for standalone use, where
+        local == global (an engine request checks the cap in ``handle``
+        and on the driver first)."""
         tree = self._parse(query)
         if tree is None:
             return None
@@ -1748,10 +1886,7 @@ class LocalIndex:
             or c.regex_spec is not None
             for c in collect_clauses(tree)
         ):
-            tree = expand_prefix_tree(
-                tree, self._expand_prefix, self._expand_range,
-                self._expand_fuzzy, self._expand_regex,
-            )
+            tree = expand_prefix_tree(tree, *self._expanders())
         keys = dict.fromkeys(
             (FIELD_IDS[c.field], t)
             for c in collect_clauses(tree)
@@ -3304,6 +3439,12 @@ _DF_OPS = frozenset(
 )
 
 
+def _request(op: str, args=(), kw=None) -> bytes:
+    """One packed shard request for ``LocalIndex.handle``: a single
+    pickled argument ships faster through Ray than several."""
+    return pickle.dumps((op, args, kw or {}), pickle.HIGHEST_PROTOCOL)
+
+
 class _Plan(NamedTuple):
     """One public call's request state (``BM25Engine._plan``): the
     driver-parsed trees of its queries, their global df map (None when
@@ -3374,14 +3515,19 @@ class BM25Engine:
     Every public call takes one request path, plan -> fanout -> merge:
 
     - ``_plan(queries, key)`` runs ONCE per call: the call's one
-      auto-reload check, the cached driver-side parse, the expansion-cap
-      and df rounds, and the sticky pick of ONE replica. Multi-round
+      auto-reload check, the cached driver-side parse, the df round when
+      one is needed, and the sticky pick of ONE replica. Multi-round
       calls (rescore, pinned, t_test, sampled significant_text, collapse,
       top_metrics) reuse the plan, so every round hits one replica and
       one epoch set; only ``search_many`` spreads a batch over replicas.
     - ``_fanout(plan, op, *args)`` calls shard method ``op`` on every
-      shard of the plan's replica with one ``ray.get``. Shards receive
-      driver-parsed TREES, never query strings, plus the plan's df map.
+      shard of the plan's replica with one ``ray.get``, as one packed
+      request to the shards' ``handle``. Shards receive driver-parsed
+      TREES, never query strings, plus the plan's df map, and reply with
+      their local expansions of the prefix, range, fuzzy and regex
+      leaves: ``_fanout`` checks the global expansion cap on their
+      union before it returns, so expanding queries need no round of
+      their own.
     - The merge is small: a doc's whole score is shard-local, so each
       shard returns only its exact top-k or exact-int collector state; a
       ranked merge sorts <= shards * k rows. ``last_fanout_rows`` records
@@ -3389,8 +3535,10 @@ class BM25Engine:
 
     Global df statistics: exact from serving rows for single-epoch
     indexes; with incremental epochs/deletions the plan first sums the
-    shards' local live dfs (ints only) and passes the exact global df map
-    into the scoring round — the classic two-phase distributed-IR shape.
+    shards' local live dfs (ints only; one ``plan`` round that also
+    expands the prefix leaves, whose terms need dfs too) and passes the
+    exact global df map into the scoring round — the classic two-phase
+    distributed-IR shape.
     """
 
     def __init__(
@@ -3437,7 +3585,7 @@ class BM25Engine:
         self.last_reload_s: float | None = None
         # driver-side parse cache: query string -> synonym-rewritten
         # tree (parse is pure string work, so index reloads don't
-        # invalidate it; bounded by _PARSE_CACHE_MAX)
+        # invalidate it; oldest-first eviction at _PARSE_CACHE_MAX)
         self._parse_cache: dict[str, object] = {}
         self._load()
 
@@ -3477,14 +3625,15 @@ class BM25Engine:
             os.path.exists(os.path.join(self.index_dir, e, "deleted.parquet"))
             for e in self.epochs
         )
+        # global live df per key for this epoch set (same bound)
         self._df_cache: dict[tuple[int, str], int] = {}
         self.last_fanout_rows = 0
 
     def _load_shards(self, manifest: dict) -> None:
         if self.replicas:
+            req = _request("reload", (manifest,))
             ray.get([
-                s.reload.remote(manifest)
-                for rep in self.replicas for s in rep
+                s.handle.remote(req) for rep in self.replicas for s in rep
             ])
             return
         n = max(1, min(self._requested_shards,
@@ -3500,7 +3649,8 @@ class BM25Engine:
             for _ in range(self._requested_replicas)
         ]
         self.shards = self.replicas[0]
-        ray.get([s.ready.remote() for rep in self.replicas for s in rep])
+        req = _request("ready")
+        ray.get([s.handle.remote(req) for rep in self.replicas for s in rep])
 
     def refresh(self) -> bool:
         """Reload the shards in place if the committed manifest changed
@@ -3529,35 +3679,77 @@ class BM25Engine:
         return self._prepare(list(queries), self._next_replica(key))
 
     def _prepare(self, queries: list[str], replica: list) -> _Plan:
-        """Parse ``queries`` (cached), run their expansion-cap rounds and
-        df round on ``replica``, and return the plan that every shard
-        round of the call shares."""
+        """Parse ``queries`` (cached), validate their regexes, run their
+        df round on ``replica`` when one is needed, and return the plan
+        that every shard round of the call shares. No round checks the
+        expansion cap here: ``_fanout`` checks it on every reply."""
         plan = _Plan([self._parse_global(q) for q in queries], None, replica)
-        return plan._replace(df_map=self._df_map_for(plan))
+        leaves = _capped_leaves(plan.trees)
+        for kind, spec in leaves:
+            if kind == "regex":
+                pat = spec[1]
+                try:  # a clean driver-side error before any RPC
+                    re.compile(pat)
+                except re.error as e:
+                    raise ValueError(f"bad regex /{pat}/: {e}") from None
+        return plan._replace(df_map=self._df_map_for(plan, leaves))
 
     def _fanout(self, plan: _Plan, op, *args, **kw) -> list:
         """The engine's one shard round trip: call shard method ``op``
         on every shard of the plan's replica and gather the replies (in
         shard order) with ONE ``ray.get``; ops that evaluate a query tree
-        also get the plan's ``df_map``. ``op`` may instead be a list of
-        ``(op, args[, replica])`` calls, all submitted before the gather,
-        which then returns one reply list per call."""
+        also get the plan's ``df_map``. Each call travels as one pickled
+        ``(op, args, kw)`` to the shards' ``handle``, and the expansion
+        cap is checked on the shards' records before any reply returns.
+        ``op`` may instead be a list of ``(op, args[, replica])`` calls,
+        all submitted before the gather, which then returns one reply
+        list per call."""
         many = isinstance(op, list)
         calls = [
             (name, a, rep[0] if rep else plan.replica)
             for name, a, *rep in (op if many else [(op, args)])
         ]
-        flat = ray.get([
-            getattr(s, name).remote(
-                *a,
-                **({**kw, "df_map": plan.df_map} if name in _DF_OPS else kw),
+        refs = []
+        for name, a, shards in calls:
+            req = _request(
+                name, a,
+                {**kw, "df_map": plan.df_map} if name in _DF_OPS else kw,
             )
-            for name, a, shards in calls
-            for s in shards
-        ])
-        replies = iter(flat)
+            refs += [s.handle.remote(req) for s in shards]
+        flat = ray.get(refs)
+        self._check_cap(plan, [rec for _, rec in flat])
+        replies = (reply for reply, _ in flat)
         out = [[next(replies) for _ in shards] for _, _, shards in calls]
         return out if many else out[0]
+
+    def _check_cap(self, plan: _Plan, records: list[dict]) -> None:
+        """Enforce MAX_PREFIX_EXPANSIONS on the UNION of the shards'
+        local expansions: a GLOBAL limit, as Lucene's maxClauseCount
+        counts the rewritten disjunction and the oracle expands against
+        the corpus-global dictionary. The first leaf over the cap, in
+        ``_EXPANSIONS`` kind order and then in the plan's leaf order,
+        names the error."""
+        union: dict[tuple, set] = {}
+        for rec in records:
+            for leaf, terms in rec.items():
+                union.setdefault(leaf, set()).update(terms)
+        over = {
+            leaf for leaf, u in union.items()
+            if len(u) > MAX_PREFIX_EXPANSIONS
+        }
+        if not over:
+            return
+        rank = [k for k, _, _ in _EXPANSIONS]
+        kind, spec = min(
+            (leaf for leaf in [*_capped_leaves(plan.trees), *union]
+             if leaf in over),
+            key=lambda leaf: rank.index(leaf[0]),
+        )
+        label = _EXPANSIONS[rank.index(kind)][2]
+        raise ValueError(
+            f"{label(spec)} expands to {len(union[kind, spec])} terms "
+            f"(max {MAX_PREFIX_EXPANSIONS})"
+        )
 
     # ---------------------------------------------------- global statistics
 
@@ -3566,12 +3758,12 @@ class BM25Engine:
     ) -> dict:
         if plan is None:
             plan = self._plan()
-        missing = [k for k in keys if k not in self._df_cache]
+        out = {k: self._df_cache[k] for k in keys if k in self._df_cache}
+        missing = [k for k in keys if k not in out]
         if missing:
-            self._df_cache.update(
-                self._sum_aligned(plan, "local_dfs", missing)
-            )
-        return {k: self._df_cache[k] for k in keys}
+            out.update(self._sum_aligned(plan, "local_dfs", missing))
+            self._cache(self._df_cache, out)
+        return out
 
     def _sum_aligned(self, plan: _Plan, op: str, keys: list, *args) -> dict:
         """Exact LIVE global count per key: shard op ``op`` answers one
@@ -3580,7 +3772,16 @@ class BM25Engine:
         per = np.asarray(self._fanout(plan, op, keys, *args), np.int64)
         return {k: int(c) for k, c in zip(keys, np.sum(per, axis=0))}
 
+    # bound of each driver cache (parse trees; dfs per epoch set)
     _PARSE_CACHE_MAX = 65536
+
+    def _cache(self, cache: dict, entries: dict) -> None:
+        """Add ``entries`` to ``cache``, then evict its oldest entries
+        down to ``_PARSE_CACHE_MAX`` (dicts keep insertion order)."""
+        cache.update(entries)
+        extra = max(0, len(cache) - self._PARSE_CACHE_MAX)
+        for old in list(islice(cache, extra)):
+            del cache[old]
 
     def _parse_global(self, query: str):
         """Driver-side parse + synonym rewrite, cached by query string.
@@ -3594,93 +3795,40 @@ class BM25Engine:
         if tree is not _PARSE_MISS:
             return tree
         tree = rewrite_synonyms(parse_query(query), self._synonyms)
-        if len(self._parse_cache) >= self._PARSE_CACHE_MAX:
-            self._parse_cache.clear()
-        self._parse_cache[query] = tree
+        self._cache(self._parse_cache, {query: tree})
         return tree
 
-    # the dictionary-expanded leaf kinds, in cap-check order: (shard op,
-    # clause -> expansion spec or None, spec -> cap-error label)
-    _EXPANSIONS = (
-        ("expand_prefixes",
-         lambda c: (c.field, c.terms[-1]) if c.prefix else None,
-         lambda s: f"prefix '{s[1]}*'"),
-        ("expand_ranges",
-         lambda c: None if c.range_spec is None else (c.field, *c.range_spec),
-         lambda s: f"range [{s[1]} TO {s[2]}]"),
-        ("expand_fuzzies",
-         lambda c: (
-             (c.field, c.terms[0], c.fuzzy, c.fuzzy_transpose)
-             if c.fuzzy else None
-         ),
-         lambda s: f"fuzzy '{s[1]}~{s[2]}'"),
-        ("expand_regexes",
-         lambda c: None if c.regex_spec is None else (c.field, c.regex_spec),
-         lambda s: f"regex /{s[1]}/"),
-    )
-
-    def _df_map_for(self, plan: _Plan) -> dict | None:
-        # repeated queries (batch workloads) share one cached tree, so
-        # dedupe the trees before collecting clauses
-        clauses = [
-            c
-            for t in {id(t): t for t in plan.trees}.values()
-            for c in collect_clauses(t)
-        ]
-        # dictionary-expanded leaves: the expansion set is
-        # dictionary-dependent, so union the shards' local expansions
-        # (terms only — tiny), every kind in one concurrent round.
-        # MAX_PREFIX_EXPANSIONS is a GLOBAL limit (Lucene's
-        # maxClauseCount counts the rewritten disjunction, and the
-        # oracle expands against the corpus-global dictionary), so it is
-        # enforced here on the UNION — the shard-local raise in
-        # ``expand_prefix_tree`` is only a backstop for standalone
-        # single-shard use, where local == global. Ranges, fuzzies and
-        # regexes are const-score, so only the prefix unions feed the df
-        # round.
-        specs = {
-            op: list(dict.fromkeys(
-                s for s in map(spec_of, clauses) if s is not None
-            ))
-            for op, spec_of, _ in self._EXPANSIONS
-        }
-        for _f, pat in specs["expand_regexes"]:
-            try:  # a clean driver-side error before any RPC
-                re.compile(pat)
-            except re.error as e:
-                raise ValueError(f"bad regex /{pat}/: {e}") from None
-        rounds = [(op, lab) for op, _, lab in self._EXPANSIONS if specs[op]]
-        replies = self._fanout(
-            plan, [(op, (specs[op],)) for op, _ in rounds]
-        ) if rounds else []
-        expanded: dict[tuple[str, str], list[str]] = {}
-        for (op, label), per in zip(rounds, replies):
-            for i, spec in enumerate(specs[op]):
-                union = {t for sh in per for t in sh[i]}
-                if len(union) > MAX_PREFIX_EXPANSIONS:
-                    raise ValueError(
-                        f"{label(spec)} expands to {len(union)} terms "
-                        f"(max {MAX_PREFIX_EXPANSIONS})"
-                    )
-                if op == "expand_prefixes":
-                    expanded[spec] = sorted(union)
+    def _df_map_for(self, plan: _Plan, leaves: list) -> dict | None:
+        """The plan's global df map: None when the serving rows' dfs are
+        exact (one epoch, no deletions). Otherwise one ``plan`` round
+        sums the shards' live local dfs of the scored keys missing from
+        the cache and of every prefix leaf's local expansion (its terms
+        are dictionary-dependent, so each shard expands and counts its
+        own; a shard without a term counts 0), and ``_fanout`` checks
+        the prefix cap on that round. Const-score leaves (range, fuzzy,
+        regex) score without statistics, so they need no round here."""
         if not self._needs_df_round:
             return None
-        keys = dict.fromkeys(
+        keys = [
             (FIELD_IDS[c.field], t)
-            for c in clauses
-            # a prefix clause's last term is the prefix (expanded above);
-            # its head terms (phrase-prefix) need dfs like any others.
-            # const-score leaves (incl. fuzzy/regex, which REWRITE to
-            # const-score) score without statistics — no df needed
+            for tree in {id(t): t for t in plan.trees}.values()
+            for c in collect_clauses(tree)
+            # a prefix clause's last term is the prefix (expanded by the
+            # round); its head terms (phrase-prefix) need dfs like any
+            # others. Fuzzy leaves REWRITE to const-score
             if not c.const_score and not c.fuzzy
             for t in (c.terms[:-1] if c.prefix else c.terms)
-        )
-        # df-sum the expanded prefix terms like any other term
-        for (f, _p), union in expanded.items():
-            for t in union:
-                keys[(FIELD_IDS[f], t)] = None
-        return self._global_dfs(list(keys), plan)
+        ]
+        df_map = {k: self._df_cache[k] for k in keys if k in self._df_cache}
+        missing = list(dict.fromkeys(k for k in keys if k not in df_map))
+        prefixes = [spec for kind, spec in leaves if kind == "prefix"]
+        if missing or prefixes:
+            got = self._sum_counts(
+                self._fanout(plan, "plan", missing, prefixes)
+            )
+            df_map.update(got)
+            self._cache(self._df_cache, got)
+        return df_map
 
     # ---------------------------------------------------------- merging
 

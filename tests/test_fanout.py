@@ -1,13 +1,15 @@
 """The BM25Engine request path: every public call plans once
 (``_plan``: one auto-reload check, one replica) and reaches the shards
 only through ``_fanout``, which ships driver-parsed trees, never query
-strings."""
+strings, and checks the expansion cap on the replies of the round that
+already does the work."""
 
 import ast
 import inspect
 import math
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from ck_ray import query as query_mod
@@ -191,3 +193,108 @@ def test_shards_never_receive_query_strings(engines, monkeypatch, name):
     for op, _, args, kw in seen:
         shipped = set(_strings(list(args))) | set(_strings(kw))
         assert not shipped & {Q, Q2}, op
+
+
+# ------------------------------------- expansion cap on the scoring round
+
+EXPANDING = {
+    "prefix": "merg*",
+    "phrase_prefix": '"merge post"*',
+    "fuzzy": "windw~1",
+    "regex": "/me.*ge/",
+    "range": "[merge TO mergf}",
+}
+
+
+@pytest.fixture(scope="module")
+def two_epochs(ray_session, tiny_index, tiny_corpus, tmp_path_factory):
+    """A copy of the tiny index plus one additive 20-file epoch."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from ck_ray.build import IndexConfig
+    from ck_ray.incremental import incremental_update
+
+    root = tmp_path_factory.mktemp("two_epochs")
+    d = str(root / "idx")
+    shutil.copytree(tiny_index, d)
+    delta = root / "delta"
+    delta.mkdir()
+    rows = tiny_corpus.slice(0, 20)
+    col = rows.schema.get_field_index("content")
+    rows = rows.set_column(col, "content", pa.array([
+        c + "\nmergeable window\n" for c in rows["content"].to_pylist()
+    ]))
+    pq.write_table(rows, str(delta / "part-0.parquet"))
+    incremental_update(
+        str(delta), d, IndexConfig(num_parts=4, batch_size=64),
+        additive=True,
+    )
+    eng = BM25Engine(d, num_shards=2, auto_reload=False)
+    assert len(eng.epochs) == 2
+    yield eng
+    eng.close()
+
+
+@pytest.mark.parametrize("shape", sorted(EXPANDING))
+def test_expanding_search_is_one_round_on_one_epoch(
+    engines, monkeypatch, shape
+):
+    one, _, _ = engines
+    seen = _spy(one, monkeypatch)
+    assert len(one.search(EXPANDING[shape], top_k=5))
+    assert [op for op, *_ in seen] == ["query_topk_meta"]
+
+
+@pytest.mark.parametrize("shape,ops", [
+    ("prefix", ["plan", "query_topk_meta"]),
+    ("phrase_prefix", ["plan", "query_topk_meta"]),
+    ("fuzzy", ["query_topk_meta"]),
+    ("regex", ["query_topk_meta"]),
+    ("range", ["query_topk_meta"]),
+])
+def test_expanding_search_rounds_on_two_epochs(
+    two_epochs, monkeypatch, shape, ops
+):
+    seen = _spy(two_epochs, monkeypatch)
+    assert len(two_epochs.search(EXPANDING[shape], top_k=5))
+    assert [op for op, *_ in seen] == ops
+
+
+def test_mixed_batch_is_one_round(engines, monkeypatch):
+    one, _, _ = engines
+    qs = [*EXPANDING.values(), Q]
+    want = [one.search_raw(q, 5) for q in qs]
+    seen = _spy(one, monkeypatch)
+    got = one.search_many(qs, top_k=5)
+    assert [op for op, *_ in seen] == ["query_many"]
+    for (dw, sw), (dg, sg) in zip(want, got):
+        assert dg.tolist() == dw.tolist() and np.array_equal(sg, sw)
+
+
+def test_bad_regex_fails_before_any_round(engines, monkeypatch):
+    one, _, _ = engines
+    seen = _spy(one, monkeypatch)
+    with pytest.raises(ValueError, match="bad regex"):
+        one.search_raw("merge OR /[unclosed/", 5)
+    assert seen == []
+
+
+def test_driver_caches_evict_oldest_at_the_bound(two_epochs, monkeypatch):
+    """Both driver caches (parse trees, global dfs) stay at the one
+    bound under a stream of distinct queries; results do not change."""
+    eng = two_epochs
+    qs = [f"merge {w}" for w in ("window", "batch", "stream", "token")]
+    qs += [*EXPANDING.values(), "mergeable window", "window*"]
+    want = [eng.search_raw(q, 10) for q in qs]
+    eng._parse_cache.clear()
+    eng._df_cache.clear()
+    monkeypatch.setattr(eng, "_PARSE_CACHE_MAX", 3)
+    for _ in range(2):
+        for q, (dw, sw) in zip(qs, want):
+            dg, sg = eng.search_raw(q, 10)
+            assert dg.tolist() == dw.tolist() and np.array_equal(sg, sw), q
+            assert len(eng._parse_cache) <= 3
+            assert len(eng._df_cache) <= 3
+    assert list(eng._parse_cache) == qs[-3:]

@@ -7,11 +7,13 @@ Catches edge interactions the curated suite misses.
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 import ck_ray.build as ckb
 from ck_ray.oracle import BM25Oracle
-from ck_ray.query import BM25Engine
+from ck_ray.incremental import incremental_update
+from ck_ray.query import BM25Engine, LocalIndex
 
 VOCAB = (
     "merge query window batch stream delta posting café naïve 数据 x2 "
@@ -308,13 +310,50 @@ def test_prefix_cap_is_global_across_shards(ray_session, tmp_path):
              for s in eng.shards]
         )
         assert all(0 < len(p[0]) <= MAX_PREFIX_EXPANSIONS for p in per)
-        # ...but the engine enforces the cap on the shard UNION
-        with pytest.raises(ValueError, match="expands to"):
-            eng.search_raw("pa*", 10)
+        # ...but the engine enforces the cap on the shard UNION, and the
+        # first leaf over it names the error in kind order (prefix,
+        # range, fuzzy, regex), then in leaf order
+        msgs = {
+            "pa*": f"prefix 'pa*' expands to {n} terms",
+            "/pa.*/ OR pa*": f"prefix 'pa*' expands to {n} terms",
+            "/pa0.*/ OR [pa0 TO pa2}": (
+                f"range [pa0 TO pa2] expands to {n} terms"
+            ),
+            "pa0~2 OR /pa.*/": f"regex /pa.*/ expands to {n} terms",
+        }
+        for q, msg in msgs.items():
+            with pytest.raises(ValueError) as e:
+                eng.search_raw(q, 10)
+            assert str(e.value) == f"{msg} (max {MAX_PREFIX_EXPANSIONS})", q
+        assert len(eng.search_raw("merge OR pa1*", 10)[0]) == 10
+        # a second epoch: the prefix cap is checked on the df round
+        delta = tmp_path / "delta"
+        delta.mkdir()
+        pq.write_table(
+            pa.Table.from_pylist(
+                [{**rows[0], "path": "src/x.py", "content": "pa9999 pa1"}]
+            ),
+            str(delta / "part-0.parquet"),
+        )
+        incremental_update(
+            str(delta), d, ckb.IndexConfig(num_parts=4, batch_size=256),
+            additive=True,
+        )
+        for q, want in (("/pa.*/ OR pa*", "prefix 'pa*'"),
+                        ("pa0~2 OR /pa.*/", "regex /pa.*/")):
+            with pytest.raises(ValueError) as e:
+                eng.search_raw(q, 10)
+            assert str(e.value) == (
+                f"{want} expands to {n + 2} terms "
+                f"(max {MAX_PREFIX_EXPANSIONS})"
+            ), q
     finally:
         eng.close()
     with pytest.raises(ValueError, match="expands to"):
         BM25Oracle(corpus).search_raw("pa*", 10)
+    # standalone LocalIndex (local == global) still raises by itself
+    with pytest.raises(ValueError, match=f"expands to {n + 2} terms"):
+        LocalIndex(d).query_topk("pa*", 10)
 
 
 # ------------------------------------------------- dis_max + search_after

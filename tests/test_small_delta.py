@@ -126,6 +126,35 @@ def test_small_path_delta_starts_no_ray_data_job(
         eng.close()
 
 
+def test_small_delta_on_actor_backend_starts_no_owner_actors(
+    ray_session, tiny_corpus, tmp_path, monkeypatch
+):
+    """The in-process executor exchanges through the fs backend whatever
+    the configured backend: it starts no partition-owner actors."""
+    import ray.data
+
+    cfg = ckb.IndexConfig(
+        num_parts=4, exchange_backend="actor", exchange_num_owners=2
+    )
+    d = str(tmp_path / "idx")
+    ckb.build_index(ray.data.from_arrow(tiny_corpus), d, cfg)
+    delta_t = _delta(tiny_corpus)
+    delta = _to_path(delta_t, tmp_path / "delta")
+
+    def no_actors(*args, **kwargs):
+        raise AssertionError("a small path delta built an ActorExchange")
+
+    monkeypatch.setattr(ckb, "ActorExchange", no_actors)
+    man = incremental_update(delta, d, cfg, additive=True)
+    assert man["n_changed"] == 20 and len(man["epochs"]) == 2
+    eng = BM25Engine(d, num_shards=2)
+    try:
+        docs, _ = eng.search_raw(FRESH, 50)
+        assert set(docs.tolist()) == _ids(delta_t)
+    finally:
+        eng.close()
+
+
 def test_in_process_bound_is_inclusive(tiny_corpus, tmp_path, monkeypatch):
     delta = _to_path(_delta(tiny_corpus), tmp_path / "delta")
     size = inc._footer_bytes(pq.ParquetDataset(delta), 1 << 40)
