@@ -57,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import uuid
 from dataclasses import dataclass
 
@@ -1123,6 +1124,19 @@ def commit_manifest(index_dir: str, manifest: dict) -> None:
 def load_manifest(index_dir: str) -> dict:
     with open(os.path.join(index_dir, MANIFEST_NAME)) as fh:
         return json.load(fh)
+
+
+def next_epoch(index_dir: str, manifest: dict) -> str:
+    """The index's next epoch name, ``epoch-NNNN``: one past the highest
+    number among the manifest's epochs and the ``epoch-*`` dirs on disk.
+    A name is never reused, also after a compaction, whose one epoch
+    carries the highest number while the older dirs are removed."""
+    names = [
+        *manifest.get("epochs", [manifest["epoch_dir"]]),
+        *os.listdir(index_dir),
+    ]
+    nums = [int(m[1]) for n in names if (m := re.match(r"epoch-(\d+)", n))]
+    return f"epoch-{max(nums, default=0) + 1:04d}"
 
 
 def index_stats(index_dir: str) -> dict:

@@ -65,6 +65,7 @@ from .build import (
     commit_manifest,
     load_manifest,
     manifest_fields,
+    next_epoch,
 )
 from .exchange import spill_partitioned
 from .ids import term_hash
@@ -359,9 +360,7 @@ def compact_index(index_dir: str, config: IndexConfig | None = None) -> dict:
         store_positions=man["store_positions"],
         serving_buckets=man["num_serving_buckets"],
     )
-    new_epoch = f"epoch-{len(epochs) + 1:04d}"
-    while new_epoch in epochs:  # paranoia against odd custom names
-        new_epoch += "c"
+    new_epoch = next_epoch(index_dir, man)
     staging = os.path.join(index_dir, f"_staging-{new_epoch}")
     final_dir = os.path.join(index_dir, new_epoch)
     if os.path.exists(staging):

@@ -57,6 +57,7 @@ from .build import (
     drop_binary_rows,
     load_manifest,
     manifest_fields,
+    next_epoch,
 )
 from .ids import doc_id_column, sha256_hex_column
 
@@ -181,7 +182,6 @@ def incremental_update(
     if additive and deletions_only:
         raise ValueError("additive and deletions_only are mutually exclusive")
     man = load_manifest(index_dir)
-    epochs = man.get("epochs", [man["epoch_dir"]])
     cfg = config or IndexConfig(
         num_parts=man["num_parts"], store_positions=man["store_positions"]
     )
@@ -227,7 +227,7 @@ def incremental_update(
     if not changed and not deleted:
         return man
 
-    epoch = f"epoch-{len(epochs) + 1:04d}"
+    epoch = next_epoch(index_dir, man)
     totals = {
         f: man["fields"][f]["total_tokens"] for f in ("content", "path")
     }
@@ -298,7 +298,6 @@ def delete_by_query(
     from .query import BM25Engine
 
     man = load_manifest(index_dir)
-    epochs = man.get("epochs", [man["epoch_dir"]])
     eng = BM25Engine(index_dir, num_shards=num_shards, auto_reload=False)
     try:
         # top_k = num_docs drains the full match set (every shard's
@@ -312,7 +311,7 @@ def delete_by_query(
         return man
     deleted = np.sort(docs.astype(np.int64))
 
-    epoch = f"epoch-{len(epochs) + 1:04d}"
+    epoch = next_epoch(index_dir, man)
     prev = _live_prev_docs(index_dir, man)
     stale = prev[prev["doc_id"].isin(set(deleted.tolist()))]
     totals = {

@@ -2046,194 +2046,154 @@ class LocalIndex:
             self._attach_meta(out, out["doc_id"])
         return out
 
-    def _match_set(self, query: str, df_map=None):
-        """(doc_ids, scores) of this shard's FULL match set. Collectors
-        that visit every match (Count / TermsAggregation / numeric
-        aggregations / per-bucket top hits) share this path; it is
-        always the exact TAAT evaluation — MaxScore pruning only helps
-        ranked cuts, never full-set collection."""
+    # ---------------------------------------------------------- aggregation
+
+    def aggregate(self, trees: list, aggs: dict, df_map=None) -> dict:
+        """The aggregation family's one shard op (tantivy's ES-compatible
+        aggregation module; the shared scan of LMFAO, VLDB 2020):
+        ``aggs`` is an ES-style ``{name: spec}`` body, each spec names
+        its ``kind`` and the index of the tree it reduces (``"tree"``,
+        default 0; None reduces every live doc, the ES background).
+        Each distinct tree's FULL match set is evaluated once, however
+        many specs reduce it, and each spec returns its exact-int state:
+
+        - ``terms`` / ``cardinality`` (keyword ``field``): ``{"matches",
+          "counts": {value: docs}}``; with ``"aggs"`` (sub-specs) also
+          ``"buckets": {value: {name: state}}`` over each value's docs.
+        - numeric fast ``field`` (docs whose epoch predates the field
+          are skipped, tantivy missing-fast-field semantics): ``stats``
+          ``{"count", "min", "max", "sum"}``; ``extended_stats`` adds
+          ``"sum_sq"``; ``histogram`` (``interval``) ``{"buckets"}`` and
+          ``range`` (``edges``) ``{"ranges"}`` counts;
+          ``percentiles`` / ``value_counts`` ``{value: docs}``.
+        - ``moments`` (``fields``, docs carrying every field): ``{"n",
+          "s": {f: Σf}, "sp": {"a|b": Σa·b}}``.
+        - ``composite`` (``sources``): ``{key tuple: docs}``.
+        - ``adjacency`` (``"trees": {name: index}``): ``{"a": docs,
+          "a&b": docs}`` for every name and sorted pair.
+        - ``sort_by_field`` (``field``, ``k``, ``ascending``) and
+          ``top_hits`` (``k``): this shard's top-k rows by (value or
+          score, doc_id asc).
+
+        Sums are Python ints and counts plain ints, so every cross-shard
+        merge (``BM25Engine._merge_agg``) is an associative add with no
+        float drift; the floats are computed once on the driver. State
+        is O(buckets) / O(distinct values) / O(k), never O(matches)."""
+        hits: dict = {}
+
+        def match(i):
+            key = None if i is None else id(trees[i])
+            if key not in hits:
+                if i is None:
+                    n = len(self._meta_ids)
+                    hits[key] = (self._meta_ids, None, np.arange(n))
+                else:
+                    docs, scores = self._match_set(trees[i], df_map)
+                    rows = np.searchsorted(self._meta_ids, docs)
+                    hits[key] = (docs, scores, rows)
+            return hits[key]
+
+        return {
+            name: self._reduce(
+                spec,
+                {n: match(i) for n, i in spec["trees"].items()}
+                if "trees" in spec
+                else match(spec.get("tree", 0)),
+            )
+            for name, spec in aggs.items()
+        }
+
+    def query_facets(self, query, facet_field: str = "lang", df_map=None):
+        """``aggregate``'s ``terms`` state of one query (in-process probes)."""
+        return self.aggregate(
+            [query], {"f": {"kind": "terms", "field": facet_field}}, df_map
+        )["f"]
+
+    def query_aggregate(self, query, spec: dict, df_map=None):
+        """``aggregate``'s state of one spec (in-process probes)."""
+        return self.aggregate([query], {"a": spec}, df_map)["a"]
+
+    def _match_set(self, query, df_map=None):
+        """(doc_ids, scores) of this shard's FULL match set, the input of
+        every aggregation; always the exact TAAT evaluation — MaxScore
+        pruning only helps ranked cuts, never full-set collection."""
         prep = self._expanded(query)
         res = None if prep is None else self._eval_node(*prep, df_map)
         if res is None:
             return np.empty(0, np.uint64), np.empty(0, self.dtype)
         return res
 
-    def _facet_values(self, docs: np.ndarray, facet_field: str):
-        """Facet value per matched doc from shard-local metadata
-        (O(matches) searchsorted), never the corpus."""
-        if facet_field not in self._meta:
-            raise ValueError(f"no such facet field: {facet_field!r}")
-        pos = np.searchsorted(self._meta_ids, docs)
-        return np.asarray(self._meta[facet_field])[pos]
-
-    def query_facets(
-        self, query: str, facet_field: str = "lang", df_map=None
-    ) -> tuple[int, dict]:
-        """(match count, {facet value -> matching-doc count}) over this
-        shard's FULL match set (tantivy Count / TermsAggregation
-        collector pair)."""
-        docs, _ = self._match_set(query, df_map)
-        if not len(docs):
-            # still validate the field so bad names fail loudly
-            self._facet_values(docs, facet_field)
-            return 0, {}
-        vals = self._facet_values(docs, facet_field)
-        uniq, counts = np.unique(vals, return_counts=True)
-        return int(len(docs)), {
-            str(v): int(c) for v, c in zip(uniq, counts)
-        }
-
-    def query_significant(
-        self, query: str, field: str = "lang", df_map=None
-    ) -> dict:
-        """Shard-local state for a SIGNIFICANT-TERMS aggregation (the ES
-        ``significant_terms`` bucket agg over a keyword field): exact
-        integer value counts of the FOREGROUND (this shard's match set)
-        and the BACKGROUND (this shard's full live doc set, the ES
-        default background). Both maps are O(field cardinality), never
-        O(matches); the background counts are over the dead-filtered
-        metadata, so deletions shift significance exactly as they shift
-        the facet counts. All scoring happens on the driver AFTER the
-        integer merge — shards ship no floats, so the cross-shard merge
-        is associative and drift-free."""
-        docs, _ = self._match_set(query, df_map)
-        vals = self._facet_values(docs, field)  # also validates field
-        fg_u, fg_c = (
-            np.unique(vals, return_counts=True)
-            if len(vals)
-            else (np.empty(0, object), np.empty(0, np.int64))
-        )
-        bg_u, bg_c = np.unique(
-            np.asarray(self._meta[field]), return_counts=True
-        )
-        return {
-            "fg_total": int(len(docs)),
-            "bg_total": int(len(self._meta_ids)),
-            "fg": {str(v): int(c) for v, c in zip(fg_u, fg_c)},
-            "bg": {str(v): int(c) for v, c in zip(bg_u, bg_c)},
-        }
-
-    def query_aggregate(self, query: str, spec: dict, df_map=None) -> dict:
-        """Shard-local tantivy-style numeric AGGREGATION over the FULL
-        match set (tantivy's ES-compatible aggregation module:
-        ``histogram`` / ``range`` / ``stats`` / ``percentiles`` /
-        ``cardinality``). Values come from the shard's numeric
-        fast-field columns (``_META_NUM_COLS``); matched docs whose
-        epoch predates the field are skipped (tantivy
-        missing-fast-field semantics). Only O(buckets) / O(distinct
-        values) integer state returns to the driver — sums are exact
-        int64, so the cross-shard merge is associative with no float
-        drift."""
-        docs, _ = self._match_set(query, df_map)
-        return self._agg_over(docs, spec)
-
-    def query_aggregate_multi(
-        self, query: str, specs: dict, df_map=None
-    ) -> dict:
-        """N named aggregations over ONE match-set evaluation (the ES
-        multi-agg request body): the TAAT pass — the expensive part —
-        runs once, each spec then reduces the same doc array."""
-        docs, _ = self._match_set(query, df_map)
-        return {name: self._agg_over(docs, s) for name, s in specs.items()}
-
-    def query_composite(
-        self, query, sources: list[dict], df_map=None
-    ) -> dict:
-        """Shard-local state for an ES COMPOSITE aggregation: exact
-        integer counts per composite key tuple over this shard's FULL
-        match set. Each source is ``{"field", "type": "terms" |
-        "histogram" [, "interval"]}`` — terms sources read keyword
-        metadata, histogram sources bucket a numeric fast field by
-        ``floor(v/interval)*interval``; docs missing any source value
-        drop (ES's default missing-bucket behavior). State is
-        O(composite cardinality), never O(matches); counting is
-        vectorized (per-source np.unique codes combined into one
-        bincount key — no per-doc Python)."""
-        docs, _ = self._match_set(query, df_map)
-        if not len(docs):
-            return {"keys": [], "counts": []}
-        pos = np.searchsorted(self._meta_ids, docs)
-        cols = []
-        valid = np.ones(len(docs), bool)
-        for s in sources:
-            f = s["field"]
-            if s.get("type", "terms") == "histogram":
-                if f not in self._meta_num:
-                    raise ValueError(f"no such numeric fast field: {f!r}")
-                iv = int(s["interval"])
-                vals = (self._meta_num[f][pos] // iv) * iv
-                valid &= self._meta_num_ok[f][pos]
-                cols.append(vals)
-            else:
-                if f not in self._meta:
-                    raise ValueError(f"no such field: {f!r}")
-                vals = np.asarray(self._meta[f], dtype=object)[pos]
-                valid &= np.not_equal(vals, None)
-                cols.append(vals)
-        # combine per-source code columns into one bincount key
-        codes = np.zeros(int(valid.sum()), np.int64)
-        uniqs = []
-        for c in cols:
-            u, inv = np.unique(c[valid], return_inverse=True)
-            uniqs.append(u)
-            codes = codes * np.int64(len(u)) + inv.astype(np.int64)
-        kk, counts = np.unique(codes, return_counts=True)
-        # decode combined codes back to per-source values
-        keys = []
-        parts = []
-        rem = kk
-        for u in reversed(uniqs):
-            parts.append(u[rem % len(u)])
-            rem = rem // len(u)
-        for i in range(len(kk)):
-            keys.append(
-                tuple(p[i].item() if hasattr(p[i], "item") else p[i]
-                      for p in reversed(parts))
-            )
-        return {"keys": keys, "counts": [int(c) for c in counts]}
-
-    def _agg_over(self, docs: np.ndarray, spec: dict) -> dict:
+    def _reduce(self, spec: dict, hit):
         kind = spec["kind"]
-        if kind == "cardinality":
-            vals = self._facet_values(docs, spec["field"])
-            return {
-                "matches": int(len(docs)),
-                "values": sorted(str(v) for v in np.unique(vals)),
-            }
-        field = spec["field"]
+        if kind not in self._AGGS:
+            raise ValueError(f"unknown aggregation kind: {kind!r}")
+        return self._AGGS[kind](self, hit, spec)
+
+    @staticmethod
+    def _take(hit: tuple, idx) -> tuple:
+        """The (docs, scores, rows) of ``hit`` at positions ``idx``."""
+        return tuple(None if a is None else a[idx] for a in hit)
+
+    def _keywords(self, rows: np.ndarray, field: str) -> np.ndarray:
+        """Keyword metadata values of the metadata ``rows``."""
+        if field not in self._meta:
+            raise ValueError(f"no such facet field: {field!r}")
+        return self._meta[field][rows]
+
+    def _fast(
+        self, rows: np.ndarray, field: str,
+        err: str = "no such numeric fast field: {!r}",
+    ) -> np.ndarray:
+        """The one numeric fast-field gather: the metadata ``rows`` that
+        carry ``field`` (values: ``self._meta_num[field][rows]``)."""
         if field not in self._meta_num:
-            raise ValueError(f"no such numeric fast field: {field!r}")
-        if len(docs):
-            pos = np.searchsorted(self._meta_ids, docs)
-            ok = self._meta_num_ok[field][pos]
-            v = self._meta_num[field][pos][ok]
-        else:
-            v = np.empty(0, np.int64)
-        if kind == "stats":
-            return {
+            raise ValueError(err.format(field))
+        return rows[self._meta_num_ok[field][rows]]
+
+    def _agg_terms(self, hit, spec: dict) -> dict:
+        vals = self._keywords(hit[2], spec["field"])
+        uniq, inv, cnt = np.unique(
+            vals, return_inverse=True, return_counts=True
+        )
+        out = {
+            "matches": len(vals),
+            "counts": {str(u): int(c) for u, c in zip(uniq, cnt)},
+        }
+        sub = spec.get("aggs")
+        if sub is not None:
+            grp = np.argsort(inv, kind="stable")
+            if not len(uniq):  # no bucket: still validate the sub-specs
+                self._sub_aggs(sub, self._take(hit, grp))
+            out["buckets"] = {
+                str(u): self._sub_aggs(sub, self._take(hit, grp[e - c:e]))
+                for u, c, e in zip(uniq, cnt, np.cumsum(cnt))
+            }
+        return out
+
+    def _sub_aggs(self, aggs: dict, hit) -> dict:
+        return {n: self._reduce(s, hit) for n, s in aggs.items()}
+
+    def _agg_numeric(self, hit, spec: dict):
+        kind, field = spec["kind"], spec["field"]
+        rows = self._fast(hit[2], field)
+        v = self._meta_num[field][rows]
+        if kind in ("stats", "extended_stats"):
+            out = {
                 "count": int(len(v)),
                 "min": int(v.min()) if len(v) else None,
                 "max": int(v.max()) if len(v) else None,
                 "sum": int(v.sum()),
             }
-        if kind == "extended_stats":
-            # exact big-int moments via the value->count map: numpy
-            # int64 sum(v^2) overflows long before the doc counts this
-            # engine targets, Python ints never do; the loop is
-            # O(distinct values), not O(matches)
-            uk, cnt = np.unique(v, return_counts=True)
-            ssum = 0
-            ssq = 0
-            for kk, cc in zip(uk.tolist(), cnt.tolist()):
-                ssum += cc * kk
-                ssq += cc * kk * kk
-            return {
-                "count": int(len(v)),
-                "min": int(v.min()) if len(v) else None,
-                "max": int(v.max()) if len(v) else None,
-                "sum": ssum,
-                "sum_sq": ssq,
-            }
+            if kind == "extended_stats":
+                # exact big-int moments via the value->count map: numpy
+                # int64 sum(v^2) overflows long before the doc counts
+                # this engine targets, Python ints never do; the loop is
+                # O(distinct values), not O(matches)
+                uk, cnt = np.unique(v, return_counts=True)
+                vc = list(zip(uk.tolist(), cnt.tolist()))
+                out["sum"] = sum(c * k for k, c in vc)
+                out["sum_sq"] = sum(c * k * k for k, c in vc)
+            return out
         if kind == "histogram":
             interval = int(spec["interval"])
             if interval <= 0:
@@ -2242,17 +2202,6 @@ class LocalIndex:
             uk, cnt = np.unique(keys, return_counts=True)
             return {
                 "buckets": {int(kk): int(cc) for kk, cc in zip(uk, cnt)}
-            }
-        if kind == "percentiles":
-            # exact where ES would sketch: the shard ships its VALUE ->
-            # COUNT map (O(distinct values) — bounded for doc-stat
-            # fields like token counts; a t-digest is the scale path
-            # for unbounded-cardinality fields)
-            uk, cnt = np.unique(v, return_counts=True)
-            return {
-                "value_counts": {
-                    int(kk): int(cc) for kk, cc in zip(uk, cnt)
-                }
             }
         if kind == "range":
             edges = [int(e) for e in spec["edges"]]
@@ -2268,133 +2217,123 @@ class LocalIndex:
                     for i in range(len(edges) + 1)
                 }
             }
-        raise ValueError(f"unknown aggregation kind: {kind!r}")
+        # percentiles / value_counts: exact where ES would sketch — the
+        # VALUE -> COUNT map is O(distinct values), bounded for doc-stat
+        # fields like token counts (a t-digest is the scale path for
+        # unbounded-cardinality fields)
+        uk, cnt = np.unique(v, return_counts=True)
+        return {int(kk): int(cc) for kk, cc in zip(uk, cnt)}
 
-    def query_filters_agg(
-        self, filters: dict, spec: dict, df_map=None
-    ) -> dict:
-        """FILTERS bucket aggregation (the ES ``filters`` agg): N NAMED
-        filter queries — each a full query-language expression — each
-        reduced under the same sub-aggregation spec, all in ONE shard
-        visit. The driver pays one fan-out for the whole request; each
-        bucket's state is the usual O(buckets)/O(distinct) exact-int
-        payload, so the cross-shard merge per name is the standard
-        associative aggregation merge."""
+    def _agg_moments(self, hit, spec: dict) -> dict:
+        # ES matrix_stats skips docs missing any field; Python-int sums
+        # (an int64 Σx² already overflows around 10^9 large docs)
+        fields = tuple(spec["fields"])
+        rows = hit[2]
+        for f in fields:
+            rows = self._fast(rows, f, "no numeric fast field {!r}")
+        cols = {f: self._meta_num[f][rows].tolist() for f in fields}
         return {
-            name: self._agg_over(self._match_set(q, df_map)[0], spec)
-            for name, q in filters.items()
+            "n": int(len(rows)),
+            "s": {f: sum(cols[f]) for f in fields},
+            "sp": {
+                f"{a}|{b}": sum(x * y for x, y in zip(cols[a], cols[b]))
+                for i, a in enumerate(fields)
+                for b in fields[i:]
+            },
         }
 
-    def query_adjacency(self, filters: dict, df_map=None) -> dict:
-        """ADJACENCY-MATRIX aggregation (the ES ``adjacency_matrix``
-        bucket agg): N named filter queries evaluated once each, then
-        exact integer counts for every singleton (``a``) and pairwise
-        intersection (``a&b``, ES key order: name1 < name2) over this
-        shard's docs. Doc partitioning makes the cross-shard merge a
-        plain integer sum; state is O(N^2) ints, never O(matches)."""
-        names = sorted(filters)
-        sets = {
-            n: self._match_set(filters[n], df_map)[0] for n in names
+    def _agg_composite(self, hit, spec: dict) -> dict:
+        # terms sources read keyword metadata, histogram sources bucket a
+        # numeric fast field by floor(v/interval)*interval; docs missing
+        # any source value drop (ES's default missing-bucket behavior).
+        # Per-source np.unique codes combine into one bincount key — no
+        # per-doc Python.
+        rows = hit[2]
+        if not len(rows):
+            return {}
+        cols = []
+        valid = np.ones(len(rows), bool)
+        for s in spec["sources"]:
+            f = s["field"]
+            if s.get("type", "terms") == "histogram":
+                if f not in self._meta_num:
+                    raise ValueError(f"no such numeric fast field: {f!r}")
+                iv = int(s["interval"])
+                cols.append((self._meta_num[f][rows] // iv) * iv)
+                valid &= self._meta_num_ok[f][rows]
+            else:
+                if f not in self._meta:
+                    raise ValueError(f"no such field: {f!r}")
+                vals = self._meta[f][rows]
+                valid &= np.not_equal(vals, None)
+                cols.append(vals)
+        codes = np.zeros(int(valid.sum()), np.int64)
+        uniqs = []
+        for c in cols:
+            u, inv = np.unique(c[valid], return_inverse=True)
+            uniqs.append(u)
+            codes = codes * np.int64(len(u)) + inv.astype(np.int64)
+        kk, counts = np.unique(codes, return_counts=True)
+        # decode combined codes back to per-source values
+        parts = []
+        rem = kk
+        for u in reversed(uniqs):
+            parts.append(u[rem % len(u)])
+            rem = rem // len(u)
+        parts.reverse()
+        return {
+            tuple(p[i].item() if hasattr(p[i], "item") else p[i]
+                  for p in parts): int(c)
+            for i, c in enumerate(counts)
         }
+
+    def _agg_adjacency(self, hits: dict, spec: dict) -> dict:
+        # doc partitioning keeps every intersection shard-local
+        names = sorted(hits)
         out: dict[str, int] = {}
         for i, a in enumerate(names):
-            out[a] = int(len(sets[a]))
+            out[a] = int(len(hits[a][0]))
             for b in names[i + 1:]:
-                out[f"{a}&{b}"] = int(
-                    len(np.intersect1d(sets[a], sets[b],
-                                       assume_unique=True))
-                )
+                out[f"{a}&{b}"] = int(len(np.intersect1d(
+                    hits[a][0], hits[b][0], assume_unique=True
+                )))
         return out
 
-    def query_topk_by_field(
-        self, query: str, field: str, k: int, ascending: bool = False,
-        df_map=None,
-    ) -> dict:
-        """Top-k of the match set ordered by a NUMERIC FAST FIELD
-        instead of the BM25 score (tantivy ``TopDocs::order_by_u64_field``).
-        Exact-int comparisons, (value, doc_id asc) order; docs missing
-        the field are skipped. Returns this shard's local top-k — the
-        cross-shard merge re-applies the same total order."""
-        docs, _ = self._match_set(query, df_map)
-        if field not in self._meta_num:
-            raise ValueError(f"no such numeric fast field: {field!r}")
-        if len(docs):
-            pos = np.searchsorted(self._meta_ids, docs)
-            ok = self._meta_num_ok[field][pos]
-            docs, pos = docs[ok], pos[ok]
-            vals = self._meta_num[field][pos]
-            paths = np.asarray(self._meta["path"])[pos]
-        else:
-            vals = np.empty(0, np.int64)
-            paths = np.empty(0, object)
-        order = np.lexsort((docs, vals if ascending else -vals))[:k]
+    def _agg_sort_by_field(self, hit, spec: dict) -> dict:
+        # tantivy TopDocs::order_by_u64_field: (value, doc_id asc)
+        field = spec["field"]
+        rows = self._fast(hit[2], field)
+        vals = self._meta_num[field][rows]
+        docs = self._meta_ids[rows]
+        order = np.lexsort(
+            (docs, vals if spec["ascending"] else -vals)
+        )[: spec["k"]]
         return {
             "values": vals[order],
             "doc_ids": docs[order],
-            "paths": paths[order],
+            "paths": self._meta["path"][rows[order]],
         }
 
-    def query_facet_stats(
-        self, query: str, facet_field: str, value_field: str, df_map=None
-    ) -> dict:
-        """SUB-AGGREGATION (ES terms bucket + nested stats): per facet
-        value, exact (count, min, max, sum) of a numeric fast field
-        over this shard's match set. One argsort-split groups the
-        matched values — O(matches log matches) at any facet
-        cardinality; O(distinct values) integer rows return."""
-        docs, _ = self._match_set(query, df_map)
-        if value_field not in self._meta_num:
-            raise ValueError(f"no such numeric fast field: {value_field!r}")
-        vals = self._facet_values(docs, facet_field)
-        if not len(docs):
-            return {}
-        pos = np.searchsorted(self._meta_ids, docs)
-        ok = self._meta_num_ok[value_field][pos]
-        vals = vals[ok]
-        nums = self._meta_num[value_field][pos][ok]
-        grp = np.argsort(vals, kind="stable")
-        uniq, starts = np.unique(vals[grp], return_index=True)
-        bounds = np.append(starts, len(grp))
-        out = {}
-        for i, u in enumerate(uniq):
-            seg = nums[grp[bounds[i]:bounds[i + 1]]]
-            out[str(u)] = (
-                int(len(seg)), int(seg.min()), int(seg.max()),
-                int(seg.sum()),
-            )
-        return out
+    def _agg_top_hits(self, hit, spec: dict) -> tuple:
+        docs, scores, rows = hit
+        order = np.lexsort((docs, -scores.astype(np.float64)))[: spec["k"]]
+        return docs[order], scores[order], self._meta["path"][rows[order]]
 
-    def query_bucket_topk(
-        self, query: str, facet_field: str, k: int, df_map=None
-    ) -> dict:
-        """Per-facet-bucket top-k (the ES ``terms`` + ``top_hits``
-        composite): every match is scored exactly (TAAT), bucketed by
-        its shard-local facet value, and each bucket keeps its local
-        top-k by (score desc, doc_id asc). O(distinct values * k) rows
-        return to the driver. Bucketing is one stable argsort over the
-        score-ordered rows + boundary split — O(matches log matches)
-        regardless of facet cardinality (a per-value boolean mask would
-        be O(matches * values), quadratic on high-cardinality facets
-        like repo/path prefixes)."""
-        docs, acc = self._match_set(query, df_map)
-        if not len(docs):
-            self._facet_values(docs, facet_field)
-            return {}
-        vals = self._facet_values(docs, facet_field)
-        pos = np.searchsorted(self._meta_ids, docs)
-        paths = np.asarray(self._meta["path"])[pos]
-        order = np.lexsort((docs, -acc.astype(np.float64)))
-        docs, acc = docs[order], acc[order]
-        vals, paths = vals[order], paths[order]
-        # stable sort by value preserves the score order within groups
-        grp = np.argsort(vals, kind="stable")
-        uniq, starts = np.unique(vals[grp], return_index=True)
-        bounds = np.append(starts, len(grp))
-        out = {}
-        for i, u in enumerate(uniq):
-            sel = grp[bounds[i]:min(bounds[i] + k, bounds[i + 1])]
-            out[str(u)] = (docs[sel], acc[sel], paths[sel])
-        return out
+    # kind -> reducer of one match set (``aggregate``)
+    _AGGS = {
+        "terms": _agg_terms,
+        "cardinality": _agg_terms,
+        **dict.fromkeys(
+            ("stats", "extended_stats", "histogram", "range",
+             "percentiles", "value_counts"),
+            _agg_numeric,
+        ),
+        "moments": _agg_moments,
+        "composite": _agg_composite,
+        "adjacency": _agg_adjacency,
+        "sort_by_field": _agg_sort_by_field,
+        "top_hits": _agg_top_hits,
+    }
 
     def query_dismax(
         self, queries: list[str], tie: float = 0.0, k: int = 100,
@@ -2874,26 +2813,6 @@ class LocalIndex:
         docs = va.docs[np.unique(rank_a[clean])].astype(np.uint64)
         return self._attach_meta({"doc_ids": docs}, docs)
 
-    def query_value_counts(
-        self, query, field: str, df_map=None
-    ) -> dict:
-        """Shard-local exact VALUE HISTOGRAM of a numeric fast field
-        over the match set: ``{value: doc count}`` — O(distinct values)
-        integers, the merge across doc-partitioned shards is a plain
-        counter add. The exact-quantile primitive (median / MAD /
-        percentile ranks) — where ES ships TDigest sketches, a bounded
-        fast-field domain lets this engine stay exact."""
-        if field not in self._meta_num:
-            raise ValueError(f"no such numeric fast field: {field!r}")
-        docs, _ = self._match_set(query, df_map)
-        if not len(docs):
-            return {}
-        pos = np.searchsorted(self._meta_ids, docs)
-        ok = self._meta_num_ok[field][pos]
-        vals = self._meta_num[field][pos[ok]]
-        u, c = np.unique(vals, return_counts=True)
-        return {int(v): int(k) for v, k in zip(u, c)}
-
     def lookup_paths(self, paths: list[str]) -> dict:
         """{path -> doc_id} for the given stored paths OWNED by this
         shard (one vectorized isin over the metadata; doc partitioning
@@ -2909,53 +2828,6 @@ class LocalIndex:
         return {
             str(arr[i]): int(self._meta_ids[i]) for i in idx
         }
-
-    def query_matrix_stats(
-        self, query: str, fields: tuple, df_map=None
-    ) -> dict:
-        """Shard-local state for a MATRIX-STATS aggregation (the ES
-        ``matrix_stats`` bucket agg over numeric fast fields): exact
-        integer moment sums — n, Σx per field, and the full Σx·y
-        product matrix — over the match-set docs that carry EVERY
-        requested field (ES skips docs missing any field). Sums are
-        arbitrary-precision Python ints, so the cross-shard merge is an
-        exact associative add at any corpus scale (an int64 Σx² already
-        overflows around 10^9 large docs); all float math happens once
-        on the driver."""
-        docs, _ = self._match_set(query, df_map)
-        for f in fields:
-            if f not in self._meta_num:
-                raise ValueError(f"no numeric fast field {f!r}")
-        if len(docs):
-            pos = np.clip(
-                np.searchsorted(self._meta_ids, docs),
-                0, max(len(self._meta_ids) - 1, 0),
-            )
-            ok = (
-                self._meta_ids[pos] == docs
-                if len(self._meta_ids)
-                else np.zeros(len(docs), bool)
-            )
-            for f in fields:
-                ok &= self._meta_num_ok[f][pos]
-            rows = pos[ok]
-        else:
-            rows = np.empty(0, np.int64)
-        cols = {
-            f: [int(v) for v in self._meta_num[f][rows].tolist()]
-            for f in fields
-        }
-        out = {
-            "n": int(len(rows)),
-            "s": {f: sum(cols[f]) for f in fields},
-            "sp": {},
-        }
-        for i, a in enumerate(fields):
-            for b in fields[i:]:
-                out["sp"][f"{a}|{b}"] = sum(
-                    x * y for x, y in zip(cols[a], cols[b])
-                )
-        return out
 
     def query_rare_terms(
         self, max_doc_count: int, field: str = "content",
@@ -2993,15 +2865,7 @@ class LocalIndex:
         cut = len(pre)
         cap = int(max_doc_count)
         if exact_global:
-            tis = self._key_ti[a:b]
-            ris = self._key_ri[a:b]
-            dfs = np.empty(b - a, np.int64)
-            for ti in np.unique(tis):
-                sel = np.nonzero(tis == ti)[0]
-                col = self._tables[int(ti)]["df"].to_numpy(
-                    zero_copy_only=False
-                )
-                dfs[sel] = col[ris[sel]]
+            dfs = self._serving_dfs(np.arange(a, b))
             keep = np.nonzero(dfs <= cap)[0]
             # a term postings-split across buckets repeats its global df
             # on every row; dict assignment dedupes
@@ -3043,16 +2907,20 @@ class LocalIndex:
         idx = np.nonzero(self._keys[lo] == keys)[0]
         if len(idx) == 0:
             return {}
-        tis = self._key_ti[lo[idx]]
-        ris = self._key_ri[lo[idx]]
-        dfs = np.empty(len(idx), np.int64)
+        dfs = self._serving_dfs(lo[idx])
+        return {terms[int(i)]: int(d) for i, d in zip(idx, dfs)}
+
+    def _serving_dfs(self, keys: np.ndarray) -> np.ndarray:
+        """The build-time global df on the serving rows of the sorted
+        key array's positions ``keys``: one ``df``-column gather per
+        serving table, no posting decode."""
+        tis, ris = self._key_ti[keys], self._key_ri[keys]
+        dfs = np.empty(len(keys), np.int64)
         for ti in np.unique(tis):
             sel = np.nonzero(tis == ti)[0]
-            col = self._tables[int(ti)]["df"].to_numpy(
-                zero_copy_only=False
-            )
+            col = self._tables[int(ti)]["df"].to_numpy(zero_copy_only=False)
             dfs[sel] = col[ris[sel]]
-        return {terms[int(i)]: int(d) for i, d in zip(idx, dfs)}
+        return dfs
 
     def paths_for_docs(self, docs) -> tuple[list, list]:
         """Resolve this shard's OWNED subset of ``docs`` to their stored
@@ -3517,9 +3385,11 @@ class BM25Engine:
     - ``_plan(queries, key)`` runs ONCE per call: the call's one
       auto-reload check, the cached driver-side parse, the df round when
       one is needed, and the sticky pick of ONE replica. Multi-round
-      calls (rescore, pinned, t_test, sampled significant_text, collapse,
+      calls (rescore, pinned, sampled significant_text, collapse,
       top_metrics) reuse the plan, so every round hits one replica and
       one epoch set; only ``search_many`` spreads a batch over replicas.
+      The aggregation family (``_aggregate``) is one ``aggregate`` round
+      over an ES-style ``{name: spec}`` body and one per-kind merge.
     - ``_fanout(plan, op, *args)`` calls shard method ``op`` on every
       shard of the plan's replica with one ``ray.get``, as one packed
       request to the shards' ``handle``. Shards receive driver-parsed
@@ -4123,11 +3993,9 @@ class BM25Engine:
         exhausted)."""
         import pandas as pd
 
-        plan = self._plan([query], query + "\x00#composite")
-        total = self._sum_counts(
-            dict(zip(p["keys"], p["counts"]))
-            for p in self._fanout(plan, "query_composite", plan.tree, sources)
-        )
+        total = self._aggregate(
+            [query], {"c": {"kind": "composite", "sources": sources}}
+        )["c"]
         keys = list(total)
         # multi-level sort honoring per-source direction (stable sorts
         # applied last-source-first)
@@ -4312,11 +4180,10 @@ class BM25Engine:
         Doc-partitioned shards make the merge a plain integer sum (every
         doc is counted by exactly one shard); the facet table that moves
         is O(distinct facet values), never O(matches)."""
-        plan = self._plan([query], query)
-        parts = self._fanout(plan, "query_facets", plan.tree, facet_field)
-        return sum(p[0] for p in parts), self._sum_counts(
-            f for _, f in parts
-        )
+        res = self._aggregate(
+            [query], {"f": {"kind": "terms", "field": facet_field}}
+        )["f"]
+        return res["matches"], res["counts"]
 
     def search_significant_terms(
         self, query: str, field: str = "lang", size: int = 10
@@ -4337,13 +4204,15 @@ class BM25Engine:
         bit-for-bit from the same integer counts. Returns ``{"fg_total",
         "bg_total", "buckets": [{"value", "fg_count", "bg_count",
         "score"}, ...]}``."""
-        plan = self._plan([query], query + "\x00#significant")
-        parts = self._fanout(plan, "query_significant", plan.tree, field)
-        fg_total = sum(p["fg_total"] for p in parts)
-        bg_total = sum(p["bg_total"] for p in parts)
-        fg = self._sum_counts(p["fg"] for p in parts)
-        bg = self._sum_counts(p["bg"] for p in parts)
-        return self._jlh(fg, bg, fg_total, bg_total, size, "value")
+        res = self._aggregate([query], {
+            "fg": {"kind": "terms", "field": field},
+            "bg": {"kind": "terms", "field": field, "tree": None},
+        })
+        fg, bg = res["fg"], res["bg"]
+        return self._jlh(
+            fg["counts"], bg["counts"], fg["matches"], bg["matches"], size,
+            "value",
+        )
 
     @staticmethod
     def _jlh(fg, bg, fg_total, bg_total, size, name, keep=None) -> dict:
@@ -4675,7 +4544,9 @@ class BM25Engine:
         (HUGEINT sums, the same expression) reproduces the doubles.
         Returns ``{"count", "cells": [{"field_a", "field_b",
         "covariance", "correlation"}, ...]}`` (field-name order)."""
-        m = self._moments(query, fields, "#matrix")
+        m = self._aggregate(
+            [query], {"m": {"kind": "moments", "fields": tuple(fields)}}
+        )["m"]
         n, s, sp = m["n"], m["s"], m["sp"]
         cells = []
         if n >= 2:
@@ -4702,28 +4573,6 @@ class BM25Engine:
                     )
         return {"count": n, "cells": cells}
 
-    def _moments(self, query: str, fields: tuple, tag: str) -> dict:
-        """Merged exact integer moment sums of ``query``'s match set
-        over ``fields`` (the matrix_stats shard contract, reused by
-        weighted_avg)."""
-        plan = self._plan([query], f"{query}\x00{tag}")
-        return self._sum_moments(self._fanout(
-            plan, "query_matrix_stats", plan.tree, tuple(fields)
-        ), fields)
-
-    @staticmethod
-    def _sum_moments(parts: list[dict], fields: tuple) -> dict:
-        return {
-            "n": sum(p["n"] for p in parts),
-            "s": {
-                f: sum(p["s"][f] for p in parts) for f in fields
-            },
-            "sp": {
-                k: sum(p["sp"][k] for p in parts)
-                for k in parts[0]["sp"]
-            } if parts else {},
-        }
-
     def search_weighted_avg(
         self, query: str, value_field: str = "n_bytes",
         weight_field: str = "dl_content",
@@ -4734,7 +4583,9 @@ class BM25Engine:
         arbitrary-precision integers merged across doc-partitioned
         shards, the one divide in float64 driver-side. Returns
         ``{"count", "weighted_avg", "weight_total"}``."""
-        m = self._moments(query, (value_field, weight_field), "#moments")
+        m = self._aggregate([query], {
+            "m": {"kind": "moments", "fields": (value_field, weight_field)}
+        })["m"]
         key = f"{value_field}|{weight_field}"
         sw = m["s"][weight_field]
         return {
@@ -4750,8 +4601,8 @@ class BM25Engine:
     ) -> dict:
         """T-TEST aggregation (ES ``t_test``, unpaired heteroscedastic
         = Welch's t): is the field's mean genuinely different between
-        two query populations? Each side's moment sums are exact
-        integers off one matrix_stats fan-out; the statistic
+        two query populations? Both sides' moment sums are exact
+        integers off one ``aggregate`` round; the statistic
 
             t = (mean_a - mean_b) / sqrt(var_a/n_a + var_b/n_b)
 
@@ -4759,15 +4610,12 @@ class BM25Engine:
         operation order, so a SQL oracle reproduces the double from the
         same HUGEINT sums. Returns ``{"n_a", "n_b", "mean_a", "mean_b",
         "t"}``; ``t`` is NaN when a side has fewer than 2 matches."""
-        plan = self._plan(
-            [query_a, query_b], f"{query_a}\x00{query_b}\x00#ttest"
-        )
-        sides = self._fanout(plan, [
-            ("query_matrix_stats", (tree, (field,))) for tree in plan.trees
-        ])
+        sides = self._aggregate([query_a, query_b], {
+            tag: {"kind": "moments", "fields": (field,), "tree": i}
+            for i, tag in enumerate("ab")
+        })
         out, se2 = {}, []
-        for tag, parts in zip("ab", sides):
-            m = self._sum_moments(parts, (field,))
+        for tag, m in sides.items():
             n = m["n"]
             sx = m["s"][field]
             sxx = m["sp"][f"{field}|{field}"]
@@ -4801,7 +4649,9 @@ class BM25Engine:
         ``median()`` interpolates even counts, so the rule is pinned
         instead of borrowed). Returns ``{"count", "median", "mad"}``
         (integers)."""
-        counts = self._value_counts(query, field, "mad")
+        counts = self._aggregate(
+            [query], {"v": {"kind": "value_counts", "field": field}}
+        )["v"]
         n = sum(counts.values())
         if n == 0:
             return {"count": 0, "median": None, "mad": None}
@@ -4838,7 +4688,9 @@ class BM25Engine:
         a fixed order the SQL oracle replicates:
         ``100.0 * count_le / n``. Returns ``{"count", "ranks":
         {value: pct}}``."""
-        counts = self._value_counts(query, field, "pctrank")
+        counts = self._aggregate(
+            [query], {"v": {"kind": "value_counts", "field": field}}
+        )["v"]
         n = sum(counts.values())
         ranks: dict[int, float] = {}
         if n:
@@ -4849,14 +4701,6 @@ class BM25Engine:
                 le = int(cum[i - 1]) if i else 0
                 ranks[int(v)] = (100.0 * le) / n
         return {"count": n, "ranks": ranks}
-
-    def _value_counts(self, query: str, field: str, tag: str) -> dict:
-        """The merged exact value -> match count map of ``field`` over
-        ``query``'s match set (behind mad and percentile_ranks)."""
-        plan = self._plan([query], query + f"\x00#{tag}:{field}")
-        return self._sum_counts(
-            self._fanout(plan, "query_value_counts", plan.tree, field)
-        )
 
     def search_rare_terms(
         self, max_doc_count: int, size: int = 10, field: str = "content"
@@ -5031,10 +4875,7 @@ class BM25Engine:
         derived once at the end, cardinality unions the shards'
         distinct-value sets (bounded by field cardinality, never by
         matches)."""
-        plan = self._plan([query], query)
-        return self._merge_agg(
-            spec, self._fanout(plan, "query_aggregate", plan.tree, spec)
-        )
+        return self._aggregate([query], {"agg": spec})["agg"]
 
     def search_filters_agg(self, filters: dict, spec: dict) -> dict:
         """FILTERS bucket aggregation (ES ``filters``): N named filter
@@ -5042,16 +4883,10 @@ class BM25Engine:
         in ONE fan-out — the dual of ``search_aggregate_multi`` (N specs
         over one query there; one spec over N queries here). Returns
         ``{name: merged aggregation}``."""
-        names = list(filters)
-        qs = [filters[n] for n in names]
-        plan = self._plan(qs, "\x00".join(qs))
-        parts = self._fanout(
-            plan, "query_filters_agg", dict(zip(names, plan.trees)), spec
+        return self._aggregate(
+            list(filters.values()),
+            {name: {**spec, "tree": i} for i, name in enumerate(filters)},
         )
-        return {
-            name: self._merge_agg(spec, [p[name] for p in parts])
-            for name in names
-        }
 
     def search_adjacency_matrix(self, filters: dict) -> dict:
         """ADJACENCY-MATRIX aggregation (ES ``adjacency_matrix``):
@@ -5061,13 +4896,10 @@ class BM25Engine:
         O(N^2) integers and the driver sums them (doc partitioning
         makes intersections shard-local and the merge associative).
         Empty buckets are omitted, matching ES."""
-        plan = self._plan(
-            list(filters.values()),
-            "\x00".join(sorted(filters.values())) + "#adjacency",
-        )
-        total = self._sum_counts(self._fanout(
-            plan, "query_adjacency", dict(zip(filters, plan.trees))
-        ))
+        total = self._aggregate(list(filters.values()), {"adj": {
+            "kind": "adjacency",
+            "trees": {name: i for i, name in enumerate(filters)},
+        }})["adj"]
         return {k: v for k, v in total.items() if v > 0}
 
     def search_aggregate_multi(self, query: str, specs: dict) -> dict:
@@ -5075,22 +4907,79 @@ class BM25Engine:
         every shard evaluates the match set once and reduces it under
         each spec, so the driver pays one fan-out and the shards one
         TAAT evaluation regardless of how many aggregations ride it."""
-        plan = self._plan([query], query)
-        parts = self._fanout(plan, "query_aggregate_multi", plan.tree, specs)
+        return self._aggregate([query], specs)
+
+    def _aggregate(
+        self, queries: list, aggs: dict, plan: _Plan | None = None
+    ) -> dict:
+        """The aggregation family's one request: one plan over
+        ``queries`` (or the caller's, for a later round of its own), then
+        ONE ``aggregate`` round — each shard evaluates every distinct
+        tree once and reduces it under every spec of the ES-style
+        ``aggs`` body — and ``_merge_agg`` of each spec's shard states.
+        Returns ``{name: merged result}``."""
+        if plan is None:
+            plan = self._plan(queries, "\x00".join(queries))
+        return self._merge_aggs(
+            aggs, self._fanout(plan, "aggregate", plan.trees, aggs)
+        )
+
+    def _merge_aggs(self, aggs: dict, parts: list) -> dict:
         return {
             name: self._merge_agg(spec, [p[name] for p in parts])
-            for name, spec in specs.items()
+            for name, spec in aggs.items()
         }
 
-    def _merge_agg(self, spec: dict, parts: list) -> dict:
+    def _merge_agg(self, spec: dict, parts: list):
+        """The per-kind merge of one spec's shard states (the kinds of
+        ``LocalIndex.aggregate``): doc partitioning counts every doc in
+        exactly one shard, so counts and sums add, and every float is
+        derived once here from the merged exact ints."""
         kind = spec["kind"]
-        if kind == "cardinality":
-            vals = sorted({v for p in parts for v in p["values"]})
+        if kind in ("terms", "cardinality"):
+            counts = self._sum_counts(p["counts"] for p in parts)
+            matches = sum(p["matches"] for p in parts)
+            if kind == "cardinality":
+                vals = sorted(counts)
+                return {
+                    "matches": matches,
+                    "cardinality": len(vals),
+                    "values": vals,
+                }
+            out = {"matches": matches, "counts": counts}
+            if "aggs" in spec:
+                per: dict[str, list] = {}
+                for p in parts:
+                    for v, b in p["buckets"].items():
+                        per.setdefault(v, []).append(b)
+                out["buckets"] = {
+                    v: self._merge_aggs(spec["aggs"], bs)
+                    for v, bs in per.items()
+                }
+            return out
+        if kind in ("value_counts", "composite", "adjacency"):
+            return self._sum_counts(parts)
+        if kind == "moments":
             return {
-                "matches": sum(p["matches"] for p in parts),
-                "cardinality": len(vals),
-                "values": vals,
+                "n": sum(p["n"] for p in parts),
+                "s": {
+                    f: sum(p["s"][f] for p in parts) for f in spec["fields"]
+                },
+                "sp": {
+                    k: sum(p["sp"][k] for p in parts) for k in parts[0]["sp"]
+                },
             }
+        if kind == "sort_by_field":
+            out = self._concat(parts, ("values", "doc_ids", "paths"))
+            vals = out["values"]
+            order = np.lexsort(
+                (out["doc_ids"], vals if spec["ascending"] else -vals)
+            )[: spec["k"]]
+            return {c: v[order] for c, v in out.items()}
+        if kind == "top_hits":
+            d, s, pth = self._concat(parts, (0, 1, 2)).values()
+            order = np.lexsort((d, -s.astype(np.float64)))[: spec["k"]]
+            return d[order], s[order], pth[order]
         if kind in ("stats", "extended_stats"):
             import math
 
@@ -5133,7 +5022,7 @@ class BM25Engine:
         if kind == "percentiles":
             import math
 
-            vc = self._sum_counts(p["value_counts"] for p in parts)
+            vc = self._sum_counts(parts)
             n = sum(vc.values())
             qs = [float(q) for q in spec.get("qs", (0.25, 0.5, 0.75, 0.99))]
             out: dict[float, int | None] = {}
@@ -5162,22 +5051,10 @@ class BM25Engine:
         returns its local top-k by exact-int (value, doc_id asc) order,
         the driver merges <= shards * k rows under the same total order.
         Returns ``{"values", "doc_ids", "paths"}`` arrays."""
-        return self._sort_by_field(
-            self._plan([query], query), field, top_k, ascending
-        )
-
-    def _sort_by_field(
-        self, plan: _Plan, field: str, top_k: int, ascending: bool
-    ) -> dict:
-        parts = self._fanout(
-            plan, "query_topk_by_field", plan.tree, field, top_k, ascending
-        )
-        out = self._concat(parts, ("values", "doc_ids", "paths"))
-        vals = out["values"]
-        order = np.lexsort(
-            (out["doc_ids"], vals if ascending else -vals)
-        )[:top_k]
-        return {c: v[order] for c, v in out.items()}
+        return self._aggregate([query], {"top": {
+            "kind": "sort_by_field", "field": field, "k": top_k,
+            "ascending": ascending,
+        }})["top"]
 
     def _closed_prefix(self, plan: _Plan, fetch: int):
         """One ranked round of ``plan.tree`` (top ``fetch`` per shard)
@@ -5286,10 +5163,10 @@ class BM25Engine:
         discrete-quantile rule (the ceil(q*n)-th smallest, 1-indexed —
         the same double multiply + ceil the percentiles oracle
         replicates over a row_number ranking), min/max from exact-int
-        stats. ONE fan-out: both reductions ride the multi-agg pass, so
-        the shards evaluate the match set once. All-integer output."""
-        res = self.search_aggregate_multi(
-            query,
+        stats. ONE ``aggregate`` round: both reductions ride it, so the
+        shards evaluate the match set once. All-integer output."""
+        res = self._aggregate(
+            [query],
             {
                 "pct": {
                     "kind": "percentiles", "field": field,
@@ -5328,7 +5205,10 @@ class BM25Engine:
         order — every value an exact int, so the SQL oracle is a plain
         ORDER BY ... LIMIT join."""
         plan = self._plan([query], query)
-        res = self._sort_by_field(plan, sort_field, k, ascending)
+        res = self._aggregate([query], {"top": {
+            "kind": "sort_by_field", "field": sort_field, "k": k,
+            "ascending": ascending,
+        }}, plan)["top"]
         docs = res["doc_ids"]
         met: dict[int, dict] = {}
         for p in self._fanout(
@@ -5360,11 +5240,9 @@ class BM25Engine:
         oracle reproduces both doubles to the shared 4dp rounding."""
         import math
 
-        plan = self._plan([query], query + "\x00#strstats")
-        fg = self._sum_counts(
-            p["fg"]
-            for p in self._fanout(plan, "query_significant", plan.tree, field)
-        )
+        fg = self._aggregate(
+            [query], {"fg": {"kind": "terms", "field": field}}
+        )["fg"]["counts"]
         count = sum(fg.values())
         if not count:
             return {
@@ -5398,19 +5276,13 @@ class BM25Engine:
         associative (sum count/sum, min min, max max) with avg derived
         once — no float drift. Returns
         ``{facet: {count, min, max, sum, avg}}``."""
-        plan = self._plan([query], query)
-        parts = self._fanout(
-            plan, "query_facet_stats", plan.tree, facet_field, value_field
-        )
-        per: dict[str, list] = {}
-        for p in parts:
-            for v, (c, mn, mx, sm) in p.items():
-                per.setdefault(v, []).append(
-                    {"count": c, "min": mn, "max": mx, "sum": sm}
-                )
+        res = self._aggregate([query], {"f": {
+            "kind": "terms", "field": facet_field,
+            "aggs": {"s": {"kind": "stats", "field": value_field}},
+        }})["f"]
+        # a bucket whose docs all lack the value field has no stats
         return {
-            v: self._merge_agg({"kind": "stats"}, ps)
-            for v, ps in per.items()
+            v: b["s"] for v, b in res["buckets"].items() if b["s"]["count"]
         }
 
     def search_top_hits(
@@ -5423,20 +5295,11 @@ class BM25Engine:
         ``{facet: (doc_ids, scores, paths)}`` sorted (score desc,
         doc_id asc) within each bucket; ``paths`` is the stored ``path``
         metadata per hit."""
-        plan = self._plan([query], query)
-        parts = self._fanout(
-            plan, "query_bucket_topk", plan.tree, facet_field, top_k
-        )
-        merged: dict[str, list] = {}
-        for p in parts:
-            for v, chunk in p.items():
-                merged.setdefault(v, []).append(chunk)
-        out = {}
-        for v, chunks in merged.items():
-            d, s, pth = self._concat(chunks, (0, 1, 2)).values()
-            order = np.lexsort((d, -s.astype(np.float64)))[:top_k]
-            out[v] = (d[order], s[order], pth[order])
-        return out
+        res = self._aggregate([query], {"f": {
+            "kind": "terms", "field": facet_field,
+            "aggs": {"h": {"kind": "top_hits", "k": top_k}},
+        }})["f"]
+        return {v: b["h"] for v, b in res["buckets"].items()}
 
     def select_like_terms(
         self,

@@ -56,7 +56,6 @@ STATS = {"kind": "stats", "field": "n_bytes"}
 MULTI_ROUND = {
     "rescore": lambda e, pins: e.search_rescore(Q, Q2, window_size=20),
     "pinned": lambda e, pins: e.search_pinned(Q, pins, top_k=8),
-    "t_test": lambda e, pins: e.search_t_test(Q, Q2),
     "significant_text_sampled": lambda e, pins: e.search_significant_text(
         Q, sample_size=20),
     "significant_text_diversified": lambda e, pins: (
@@ -99,7 +98,16 @@ SINGLE_ROUND = {
     "string_stats": lambda e: e.search_string_stats(Q),
     "facet_stats": lambda e: e.search_facet_stats(Q),
     "top_hits": lambda e: e.search_top_hits(Q),
+    "t_test": lambda e: e.search_t_test(Q, Q2),
 }
+# the aggregation family: one ``aggregate`` round each (top_metrics adds
+# its metrics round, see below)
+AGG_ENTRIES = (
+    "composite", "facets", "significant_terms", "matrix_stats",
+    "weighted_avg", "mad", "percentile_ranks", "aggregate", "filters_agg",
+    "adjacency", "aggregate_multi", "sort_by_field", "boxplot",
+    "string_stats", "facet_stats", "top_hits", "t_test",
+)
 
 
 def _strings(x):
@@ -175,6 +183,60 @@ def test_multi_round_calls_use_one_replica(engines, monkeypatch, name):
         ]
         assert len(seen) >= 2  # really multi-round
         assert any(seen[0][1] is r for r in two.replicas)
+
+
+@pytest.mark.parametrize("name", AGG_ENTRIES)
+def test_agg_calls_are_one_aggregate_round(engines, monkeypatch, name):
+    """Every aggregation reaches the shards in exactly one ``_fanout``
+    call, the ``aggregate`` op, and with 2 replicas returns what the
+    1-replica engine returns."""
+    one, two, _ = engines
+    call = SINGLE_ROUND[name]
+    want = _canon(call(one))
+    seen = _spy(two, monkeypatch)
+    assert _canon(call(two)) == want
+    assert [op for op, *_ in seen] == ["aggregate"]
+
+
+def test_top_metrics_is_aggregate_then_metrics(engines, monkeypatch):
+    one, _, pins = engines
+    seen = _spy(one, monkeypatch)
+    MULTI_ROUND["top_metrics"](one, pins)
+    assert [op for op, *_ in seen] == ["aggregate", "metrics_for_docs"]
+
+
+def test_aggregate_evaluates_each_tree_once(tiny_index, monkeypatch):
+    """In process: 5 specs over one tree and 2 over a second cost two
+    match-set evaluations, and the probe wrappers ``query_facets`` /
+    ``query_aggregate`` return ``aggregate``'s state."""
+    li = query_mod.LocalIndex(tiny_index)
+    trees = [query_mod.parse_query(Q), query_mod.parse_query(Q2)]
+    aggs = {
+        "terms": {"kind": "terms", "field": "lang"},
+        "stats": STATS,
+        "pct": {"kind": "percentiles", "field": "dl_content"},
+        "top": {"kind": "sort_by_field", "field": "n_bytes", "k": 3,
+                "ascending": False},
+        "moments": {"kind": "moments", "fields": ("n_bytes",)},
+        "card": {"kind": "cardinality", "field": "repo", "tree": 1},
+        "hist": {"kind": "histogram", "field": "n_bytes",
+                 "interval": 256, "tree": 1},
+    }
+    real, calls = li._match_set, []
+
+    def counted(query, df_map=None):
+        calls.append(query)
+        return real(query, df_map)
+
+    monkeypatch.setattr(li, "_match_set", counted)
+    got = li.aggregate(trees, aggs)
+    assert [id(t) for t in calls] == [id(t) for t in trees]
+    assert _canon(li.query_facets(trees[0], "lang")) == _canon(got["terms"])
+    assert _canon(li.query_aggregate(trees[0], STATS)) == _canon(
+        got["stats"]
+    )
+    hist = {k: v for k, v in aggs["hist"].items() if k != "tree"}
+    assert _canon(li.query_aggregate(trees[1], hist)) == _canon(got["hist"])
 
 
 @pytest.mark.parametrize(

@@ -218,6 +218,40 @@ def test_delete_by_query(ray_session, tiny_corpus, tmp_path):
         eng.close()
 
 
+def test_delete_by_query_after_compaction(ray_session, tiny_corpus, tmp_path):
+    """A compaction's one epoch carries the highest epoch number, so a
+    delete_by_query after it commits under a new epoch name (a reused
+    live name would land the tombstones inside the compacted epoch) and
+    the index stays equal to the oracle over the kept docs."""
+    import ray.data
+
+    from ck_ray.compact import compact_index
+    from ck_ray.incremental import delete_by_query
+    from ck_ray.tokenizer import tokenize_text
+
+    cfg = ckb.IndexConfig(num_parts=4, batch_size=64)
+    d = str(tmp_path / "idx")
+    ckb.build_index(ray.data.from_arrow(tiny_corpus), d, cfg)
+    assert compact_index(d, cfg)["epochs"] == ["epoch-0002"]
+    man = delete_by_query(d, "stream")
+    assert man["epochs"] == ["epoch-0002", "epoch-0003"]
+    kept = tiny_corpus.filter(pa.array([
+        "stream" not in set(tokenize_text(c))
+        for c in tiny_corpus["content"].to_pylist()
+    ]))
+    assert man["num_docs"] == kept.num_rows < tiny_corpus.num_rows
+    eng = BM25Engine(d, num_shards=2)
+    oracle = BM25Oracle(kept)
+    try:
+        for q in ("merge", "stream", "the merge window"):
+            di, si = eng.search_raw(q, 50)
+            do, so = oracle.search_raw(q, 50)
+            assert di.tolist() == do.tolist(), q
+            assert np.array_equal(si, so), q
+    finally:
+        eng.close()
+
+
 def test_engine_auto_reload_after_update(ray_session, tiny_corpus, tmp_path):
     """An open BM25Engine must not serve a stale epoch set: after an
     incremental_update commits a new manifest, the next search on the SAME

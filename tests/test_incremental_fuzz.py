@@ -85,14 +85,14 @@ def _mutate_step(rows: list[dict], rng: np.random.RandomState, step: int) -> lis
     return out
 
 
-@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("seed", [0, 3, 17])
 def test_random_epoch_chain_equals_rebuild(ray_session, tmp_path, seed):
     import ray.data
 
     _check_epoch_chain(tmp_path, seed, ray.data.from_arrow)
 
 
-@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("seed", [0, 3, 17])
 def test_random_epoch_chain_equals_rebuild_path_input(
     ray_session, tmp_path, seed
 ):
